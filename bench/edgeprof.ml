@@ -54,9 +54,6 @@ let entry_json (prof : Fastprof.t) edges =
           [
             ("formed", Json.Int prof.Fastprof.p_traces_formed);
             ("covered_insns", Json.Int prof.Fastprof.p_trace_covered);
-            ("fused_uops", Json.Int prof.Fastprof.p_trace_fused);
-            ("cached_slots", Json.Int prof.Fastprof.p_trace_slots);
-            ("dead_flags", Json.Int prof.Fastprof.p_trace_dead_flags);
             (* Why formation walks stopped where they did: the coverage
                diagnosis. A benchmark with low cov%% and a dominant
                indirect_minority count (povray's profile: polymorphic

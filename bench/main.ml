@@ -17,9 +17,7 @@ let usage () =
      \  --speed-guard F  simspeed only: fail if measured MIPS < F x the committed\n\
      \                   BENCH_simspeed.json latest (CI perf-regression gate)\n\
      \  --no-traces      simspeed only: disable the superblock trace tier for the\n\
-     \                   timed runs (isolates its engine-speed contribution)\n\
-     \  --no-fusion      simspeed only: keep traces but disable the trace-lane uop\n\
-     \                   optimizer (isolates fusion/inline-slot/lazy-rip gains)";
+     \                   timed runs (isolates its engine-speed contribution)";
   exit 1
 
 let rec run_target = function
@@ -86,9 +84,6 @@ let () =
       parse targets rest
     | "--no-traces" :: rest ->
       Simspeed.no_traces := true;
-      parse targets rest
-    | "--no-fusion" :: rest ->
-      Simspeed.no_fusion := true;
       parse targets rest
     | ("-h" | "--help") :: _ -> usage ()
     | t :: rest -> parse (t :: targets) rest

@@ -43,12 +43,6 @@ let guard_factor : float option ref = ref None
    entries. Recorded in the JSON provenance. *)
 let no_traces = ref false
 
-(* Keep the trace tier but disable the trace-lane uop optimizer
-   (main.exe --no-fusion): isolates what macro-fusion, inline translation
-   slots and lazy rip materialization contribute on top of plain
-   superblocks. Recorded in the JSON provenance. *)
-let no_fusion = ref false
-
 (* A spread of profiles: pointer-chasing (low ILP), cache-resident high
    ILP, and call-heavy — so the MIPS number is not dominated by one
    instruction mix. *)
@@ -108,7 +102,6 @@ let measure_mode prepare_one =
 
 let apply_trace_mode (p : Framework.prepared) =
   if !no_traces then X86sim.Cpu.set_traces_enabled p.Framework.cpu false;
-  if !no_fusion then X86sim.Cpu.set_trace_fusion p.Framework.cpu false;
   p
 
 let prepare_baseline prof =
@@ -188,9 +181,7 @@ let run () =
     rows;
   Printf.printf "Simulator speed (simulated MIPS; %d workload iterations, %d profiles%s)\n"
     iterations (List.length profiles)
-    (if !no_traces then ", trace tier off"
-     else if !no_fusion then ", trace fusion off"
-     else "");
+    (if !no_traces then ", trace tier off" else "");
   Table_fmt.print t;
   let this_run =
     Json.Obj
@@ -198,7 +189,6 @@ let run () =
       :: ("commit", Json.String (git_commit ()))
       :: ("iterations", Json.Int iterations)
       :: ("traces", Json.Bool (not !no_traces))
-      :: ("fusion", Json.Bool (not (!no_traces || !no_fusion)))
       :: ("profiles", Json.List (List.map (fun p -> Json.String p) profile_names))
       :: List.map json_of_mode rows)
   in

@@ -89,6 +89,14 @@ let read_file file =
   close_in ic;
   s
 
+(* Parse an assembly file, reporting a syntax or label error as
+   FILE:LINE and exit 1 instead of an uncaught exception. *)
+let parse_asm_file parse file =
+  try parse (read_file file)
+  with X86sim.Asm.Parse_error { line; msg } ->
+    Printf.eprintf "%s:%d: %s\n" file line msg;
+    exit 1
+
 (* --- report --- *)
 
 let find_bench name =
@@ -98,12 +106,11 @@ let find_bench name =
     exit 1
 
 let report_cmd =
-  let fastpath_report bench technique policy kind iterations no_fusion top json_out flame_out
+  let fastpath_report bench technique policy kind iterations top json_out flame_out
       speedscope_out =
     let prof = find_bench bench in
     let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
     let p = Workloads.Runner.prepare_instrumented ~iterations prof cfg in
-    if no_fusion then X86sim.Cpu.set_trace_fusion p.Framework.cpu false;
     Fastprof.install p;
     (match Framework.run p with
     | X86sim.Cpu.Halted -> ()
@@ -156,7 +163,7 @@ let report_cmd =
   (* N vCPUs, one shared machine: per-core CPI stacks plus the machine
      rollup (Fastprof.merge) — cycles/counters sum, shared-tier numbers
      counted once. *)
-  let fastpath_report_smp bench technique policy kind iterations no_fusion vcpus top json_out =
+  let fastpath_report_smp bench technique policy kind iterations vcpus top json_out =
     let prof = find_bench bench in
     let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
     let s =
@@ -165,10 +172,6 @@ let report_cmd =
         Printf.eprintf "%s\n" msg;
         exit 1
     in
-    if no_fusion then
-      for core = 0 to vcpus - 1 do
-        X86sim.Cpu.set_trace_fusion (X86sim.Machine.cpu s.Framework.machine core) false
-      done;
     Fastprof.install_smp s;
     (match Framework.run_smp s with
     | X86sim.Cpu.Halted -> ()
@@ -198,15 +201,14 @@ let report_cmd =
       Ms_util.Json.to_file file (Fastprof.to_json total);
       Printf.printf "\nmachine-total profile written to %s\n" file
   in
-  let run bench technique policy kind iterations no_fusion vcpus top json_out flame_out
-      speedscope_out =
+  let run bench technique policy kind iterations vcpus top json_out flame_out speedscope_out =
     match bench with
     | None -> Report.print_all ()
     | Some bench ->
       if vcpus > 1 then
-        fastpath_report_smp bench technique policy kind iterations no_fusion vcpus top json_out
+        fastpath_report_smp bench technique policy kind iterations vcpus top json_out
       else
-        fastpath_report bench technique policy kind iterations no_fusion top json_out flame_out
+        fastpath_report bench technique policy kind iterations top json_out flame_out
           speedscope_out
   in
   let bench =
@@ -237,10 +239,6 @@ let report_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Write the fast-path profile as JSON ('-' for stdout); input of perf-diff.")
   in
-  let no_fusion =
-    Arg.(value & flag & info [ "no-fusion" ]
-           ~doc:"Disable the trace-lane uop optimizer (macro-fusion, inline translation                  slots, lazy rip) for this run. The profile must be cycle-identical to a                  fusion-on run — the optimizer targets engine dispatch, not modeled cost —                  which CI enforces via perf-diff.")
-  in
   let flame_out =
     Arg.(value & opt (some string) None & info [ "flamegraph" ] ~docv:"FILE"
            ~doc:"Write the CPI stacks as collapsed/folded flamegraph lines.")
@@ -255,8 +253,8 @@ let report_cmd =
          "Print the survey tables (paper Tables 1-3); with a BENCHMARK, run it on the \
           fast path and print the always-on counter report (CPI stack per gate site, hot \
           blocks, hot edges) with optional flamegraph/speedscope/JSON export")
-    Term.(const run $ bench $ technique $ policy $ kind $ iterations_arg $ no_fusion $ vcpus
-          $ top $ json_out $ flame_out $ speedscope_out)
+    Term.(const run $ bench $ technique $ policy $ kind $ iterations_arg $ vcpus $ top
+          $ json_out $ flame_out $ speedscope_out)
 
 (* --- perf-diff --- *)
 
@@ -587,7 +585,7 @@ let verify_cmd =
     let name, report =
       match asm with
       | Some file ->
-        let prog = X86sim.Asm.parse_program (read_file file) in
+        let prog = parse_asm_file X86sim.Asm.parse_program file in
         let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
         (match Framework.policy_of_config cfg with
         | None ->
@@ -704,7 +702,7 @@ let optimize_cmd =
     (match (asm, all) with
     | Some file, _ ->
       (* Instrument + optimize a raw assembly file (address-based only). *)
-      let items = X86sim.Asm.parse (read_file file) in
+      let items = parse_asm_file X86sim.Asm.parse file in
       let mitems =
         List.map
           (fun item ->

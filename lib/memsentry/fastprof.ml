@@ -19,12 +19,6 @@ type t = {
   p_traces_formed : int;
   p_traces_invalidated : int;
   p_trace_covered : int;
-  p_trace_hoisted : int;
-  p_trace_fused : int;  (** macro-fused pairs installed at formation *)
-  p_trace_slots : int;  (** inline translation slots installed *)
-  p_trace_dead_flags : int;  (** dead flag writes elided *)
-  p_inline_hits : int;  (** runtime inline-slot short-circuits *)
-  p_inline_misses : int;  (** runtime inline-slot misses (eager path) *)
   p_abort_cold : int;  (** formation walks stopped at a cold branch *)
   p_abort_indirect : int;  (** stopped at a majority-less indirect *)
   p_abort_cap : int;  (** stopped at the max_segs/max_insns cap *)
@@ -89,12 +83,6 @@ let capture_cpu ?workload ~technique (sm : Sitemap.t) (cpu : Cpu.t) =
     p_traces_formed = tier.Trace.formed_count;
     p_traces_invalidated = tier.Trace.invalidated_count;
     p_trace_covered = tier.Trace.covered_insns;
-    p_trace_hoisted = tier.Trace.hoisted_checks;
-    p_trace_fused = tier.Trace.fused_uops;
-    p_trace_slots = tier.Trace.cached_slots;
-    p_trace_dead_flags = tier.Trace.dead_flags;
-    p_inline_hits = tier.Trace.inline_hits;
-    p_inline_misses = tier.Trace.inline_misses;
     p_abort_cold = tier.Trace.abort_cold_branch;
     p_abort_indirect = tier.Trace.abort_indirect_minority;
     p_abort_cap = tier.Trace.abort_cap_hit;
@@ -207,12 +195,6 @@ let merge = function
       p_traces_formed = sum (fun t -> t.p_traces_formed);
       p_traces_invalidated = sum (fun t -> t.p_traces_invalidated);
       p_trace_covered = sum (fun t -> t.p_trace_covered);
-      p_trace_hoisted = sum (fun t -> t.p_trace_hoisted);
-      p_trace_fused = sum (fun t -> t.p_trace_fused);
-      p_trace_slots = sum (fun t -> t.p_trace_slots);
-      p_trace_dead_flags = sum (fun t -> t.p_trace_dead_flags);
-      p_inline_hits = sum (fun t -> t.p_inline_hits);
-      p_inline_misses = sum (fun t -> t.p_inline_misses);
       p_abort_cold = sum (fun t -> t.p_abort_cold);
       p_abort_indirect = sum (fun t -> t.p_abort_indirect);
       p_abort_cap = sum (fun t -> t.p_abort_cap);
@@ -264,7 +246,6 @@ let trace_to_json (s : Trace.stat) =
       ("side_exits", Json.Int s.Trace.t_side_exits);
       ("cycles", Json.Float s.Trace.t_cycles);
       ("loops", Json.Bool s.Trace.t_loops);
-      ("hoisted", Json.Int s.Trace.t_hoisted);
     ]
 
 let to_json t =
@@ -289,12 +270,6 @@ let to_json t =
             ("formed", Json.Int t.p_traces_formed);
             ("invalidated", Json.Int t.p_traces_invalidated);
             ("covered_insns", Json.Int t.p_trace_covered);
-            ("hoisted_checks", Json.Int t.p_trace_hoisted);
-            ("fused_uops", Json.Int t.p_trace_fused);
-            ("cached_slots", Json.Int t.p_trace_slots);
-            ("dead_flags", Json.Int t.p_trace_dead_flags);
-            ("inline_hits", Json.Int t.p_inline_hits);
-            ("inline_misses", Json.Int t.p_inline_misses);
             ( "aborts",
               Json.Obj
                 [
@@ -380,7 +355,6 @@ let trace_of_json j =
     t_side_exits = get_int "side_exits" j;
     t_cycles = get_float "cycles" j;
     t_loops = (match get "loops" j with Json.Bool b -> b | _ -> fail "trace loops not a bool");
-    t_hoisted = get_int "hoisted" j;
   }
 
 let of_json j =
@@ -401,14 +375,6 @@ let of_json j =
     p_traces_formed = tr "formed" get_int 0;
     p_traces_invalidated = tr "invalidated" get_int 0;
     p_trace_covered = tr "covered_insns" get_int 0;
-    p_trace_hoisted = tr "hoisted_checks" get_int 0;
-    (* Lenient again inside the trace section: pre-optimizer profiles
-       predate these counters. *)
-    p_trace_fused = tr "fused_uops" get_int 0;
-    p_trace_slots = tr "cached_slots" get_int 0;
-    p_trace_dead_flags = tr "dead_flags" get_int 0;
-    p_inline_hits = tr "inline_hits" get_int 0;
-    p_inline_misses = tr "inline_misses" get_int 0;
     p_abort_cold =
       (match Json.member "traces" j with
       | None -> 0

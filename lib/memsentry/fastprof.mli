@@ -34,12 +34,6 @@ type t = {
   p_traces_formed : int;  (** cumulative, includes invalidated traces *)
   p_traces_invalidated : int;
   p_trace_covered : int;  (** retired instructions executed inside superblocks *)
-  p_trace_hoisted : int;  (** check uops hoisted into trace prologues *)
-  p_trace_fused : int;  (** macro-fused uop pairs installed at formation *)
-  p_trace_slots : int;  (** inline translation slots installed *)
-  p_trace_dead_flags : int;  (** dead flag writes elided at formation *)
-  p_inline_hits : int;  (** runtime inline-slot short-circuits taken *)
-  p_inline_misses : int;  (** runtime inline-slot misses (eager path) *)
   (* Chain-end reason counters: why trace-formation walks stopped — the
      coverage-diagnosis signal (cumulative over every formation attempt). *)
   p_abort_cold : int;  (** stopped at a cold/unbiased conditional branch *)
@@ -102,7 +96,9 @@ val to_json : t -> Ms_util.Json.t
 val of_json : Ms_util.Json.t -> t
 (** Raises [Invalid_argument] on a value not produced by {!to_json}.
     Lenient about the ["traces"] section (absent in profiles captured
-    before the trace tier existed: zero counts, empty list). *)
+    before the trace tier existed: zero counts, empty list). Keys this
+    version no longer writes — the trace-optimizer and hoisting counters
+    of older profiles — are ignored. *)
 
 type regression = {
   rg_label : string;

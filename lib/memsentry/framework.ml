@@ -54,8 +54,8 @@ let map_regions cpu regions =
       Mmu.map_range cpu.Cpu.mmu ~va:r.Safe_region.va ~len:r.Safe_region.size ~writable:true)
     regions
 
-let prepare_on ?(extra_regions = []) ?(verify = false) ?(optimize = false)
-    ?(trace_hoist = false) cpu cfg (lowered : Ir.Lower.t) =
+let prepare_on ?(extra_regions = []) ?(verify = false) ?(optimize = false) cpu cfg
+    (lowered : Ir.Lower.t) =
   Ir.Lower.setup_memory cpu lowered;
   let regions = Safe_region.of_sensitive_globals lowered @ extra_regions in
   map_regions cpu extra_regions;
@@ -127,15 +127,6 @@ let prepare_on ?(extra_regions = []) ?(verify = false) ?(optimize = false)
         (Technique.name cfg.technique) (List.length regions) (Program.length program)
         (List.length mitems));
   Cpu.load_program cpu program;
-  (* Dynamic counterpart of [~optimize]'s static check motion: vouch for
-     loop-invariant check sites so the trace tier hoists them to
-     superblock prologues at run time (must follow [load_program], which
-     re-keys the trace tier). *)
-  if trace_hoist then (
-    match policy_of_config cfg with
-    | Some policy ->
-      Cpu.install_trace_hoist_facts cpu (Gate_opt.hoist_facts ~policy items sitemap)
-    | None -> ());
   let p = { cpu; program; regions; hypervisor; cfg; sitemap; opt_stats } in
   if verify then
     (match verify_prepared p with
@@ -148,8 +139,8 @@ let prepare_on ?(extra_regions = []) ?(verify = false) ?(optimize = false)
     | Some _ | None -> ());
   p
 
-let prepare ?extra_regions ?verify ?optimize ?trace_hoist cfg lowered =
-  prepare_on ?extra_regions ?verify ?optimize ?trace_hoist (Cpu.create ()) cfg lowered
+let prepare ?extra_regions ?verify ?optimize cfg lowered =
+  prepare_on ?extra_regions ?verify ?optimize (Cpu.create ()) cfg lowered
 
 let prepare_baseline_on cpu (lowered : Ir.Lower.t) =
   Ir.Lower.setup_memory cpu lowered;

@@ -57,7 +57,6 @@ val prepare :
   ?extra_regions:Safe_region.region list ->
   ?verify:bool ->
   ?optimize:bool ->
-  ?trace_hoist:bool ->
   config ->
   Ir.Lower.t ->
   prepared
@@ -74,14 +73,7 @@ val prepare :
     between instrumentation and assembly: dataflow-proven checks are
     eliminated or hoisted and adjacent gate pairs coalesced, with the
     result re-verified ({!Gate_opt.Rejected} propagates if it does not).
-    Techniques with no policy ([Mprotect]) are loaded unchanged.
-
-    With [~trace_hoist:true] (default false), {!Gate_opt.hoist_facts}'s
-    loop-invariance facts are installed on the CPU's trace tier
-    ([X86sim.Cpu.install_trace_hoist_facts]): the program is loaded
-    unmodified, and the simulator hoists the vouched-for check sites to
-    superblock prologues dynamically — the run-time counterpart of
-    [~optimize]'s static loop-invariant check motion. *)
+    Techniques with no policy ([Mprotect]) are loaded unchanged. *)
 
 val policy_of_config : config -> Gate_analysis.policy option
 (** The verification policy matching a technique; [None] for techniques
@@ -96,7 +88,6 @@ val prepare_on :
   ?extra_regions:Safe_region.region list ->
   ?verify:bool ->
   ?optimize:bool ->
-  ?trace_hoist:bool ->
   Cpu.t ->
   config ->
   Ir.Lower.t ->

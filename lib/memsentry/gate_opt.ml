@@ -787,94 +787,6 @@ let optimize ?split ?bnd0_upper ?mpk_key ~policy ~kind (items : Program.item lis
     report = post_report;
   }
 
-(* --- trace-tier hoist facts --------------------------------------------- *)
-
-(* Pass C's decision procedure, re-run fact-only: which check-site
-   instructions are loop-invariant and lead their natural-loop header, so
-   the simulator's trace tier may run them once per superblock entry
-   instead of once per iteration? No transformation, no elimination
-   context (every site counts as present), and MPX only — the trace
-   tier's prologue motion handles the [lea; bndcu] shape, whose site uops
-   are free of flag and memory effects. The conditions are the
-   no-elimination specialization of {!optimize}'s pass C:
-   - nothing in the loop body outside the site writes the operand's
-     base/index or the scratch register (and nothing havocs), so the
-     checked address is the same on every iteration;
-   - the site leads its loop header, so a hoisted check faults no later
-     than the original would have;
-   - one site per loop: the shared scratch register means a second
-     hoisted site would clobber the first's checked value. *)
-let hoist_facts ~policy (items : Program.item list) (sm : Sitemap.t) =
-  let prog = Program.assemble items in
-  let code = Program.code prog in
-  let n = Array.length code in
-  let facts = Array.make (max n 1) false in
-  (match policy with
-  | Gate_analysis.Mpx_policy ->
-    let pcfg = Ir.Cfg.of_program prog in
-    let g = pcfg.Ir.Cfg.graph in
-    let spans = pcfg.Ir.Cfg.spans in
-    let block_of i = pcfg.Ir.Cfg.block_of.(i) in
-    let sites = recover_sites ~policy code sm in
-    let loops = Ir.Cfg.natural_loops g in
-    let entry_blocks = g.Ir.Cfg.entries in
-    let marked = Array.make (max (Sitemap.n_sites sm) 1) false in
-    List.iter
-      (fun (l : Ir.Cfg.loop) ->
-        if not (List.mem l.Ir.Cfg.header entry_blocks) then begin
-          let in_body = Array.make g.Ir.Cfg.nnodes false in
-          List.iter (fun b -> in_body.(b) <- true) l.Ir.Cfg.body;
-          let header_first = spans.(l.Ir.Cfg.header).Ir.Cfg.first in
-          let body_idxs =
-            List.concat_map
-              (fun b ->
-                let sp = spans.(b) in
-                List.init (sp.Ir.Cfg.last - sp.Ir.Cfg.first + 1) (fun k -> sp.Ir.Cfg.first + k))
-              l.Ir.Cfg.body
-          in
-          let candidates =
-            List.filter
-              (fun s ->
-                in_body.(block_of s.afirst)
-                && (not marked.(s.aid))
-                (* rsp moves implicitly through push/pop/call/ret, past
-                   [defs]'s sight; never vouch for an rsp-based operand. *)
-                && s.aoperand.Insn.base <> X86sim.Reg.rsp
-                && s.aoperand.Insn.index <> X86sim.Reg.rsp)
-              sites
-          in
-          let try_mark s =
-            let my_insn i = i >= s.afirst && i <= s.alast in
-            let invariant_ok =
-              List.for_all
-                (fun i ->
-                  let insn = code.(i) in
-                  (not (havocs_all insn))
-                  && (not
-                        (List.exists
-                           (fun d ->
-                             d = s.aoperand.Insn.base || d = s.aoperand.Insn.index
-                             || d = scratch)
-                           (defs insn))
-                     || my_insn i))
-                body_idxs
-            in
-            let fault_ok = block_of s.afirst = l.Ir.Cfg.header && s.afirst = header_first in
-            if invariant_ok && fault_ok then begin
-              marked.(s.aid) <- true;
-              for i = s.afirst to s.alast do
-                facts.(i) <- true
-              done;
-              true
-            end
-            else false
-          in
-          ignore (List.exists try_mark candidates)
-        end)
-      loops
-  | _ -> ());
-  facts
-
 let pp_stats fmt s =
   Format.fprintf fmt
     "%d sites: %d static-eliminated, %d redundancy-eliminated, %d hoisted (%d preheaders), %d \

@@ -63,17 +63,5 @@ val optimize :
     {!Gate_analysis.analyze}. The input items are not modified (the
     result shares unchanged instructions). *)
 
-val hoist_facts :
-  policy:Gate_analysis.policy -> Program.item list -> Sitemap.t -> bool array
-(** Per-instruction loop-invariance facts for the simulator's trace tier
-    ([X86sim.Trace]): [facts.(i)] marks instruction [i] as part of a
-    check site that is loop-invariant and leads its natural-loop header —
-    the same conditions {!optimize}'s loop-invariant check motion proves,
-    decided fact-only against the unmodified program. The trace tier may
-    then run the marked site once per superblock entry instead of once
-    per iteration (install via [Cpu.install_trace_hoist_facts]).
-    Currently derives facts for [Mpx_policy] only (the [lea; bndcu]
-    shape); other policies get an all-false array. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 val stats_to_json : stats -> Ms_util.Json.t

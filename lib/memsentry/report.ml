@@ -257,21 +257,6 @@ let trace_summary (prof : Fastprof.t) =
     if prof.Fastprof.p_insns = 0 then 0.0
     else 100.0 *. float_of_int prof.Fastprof.p_trace_covered /. float_of_int prof.Fastprof.p_insns
   in
-  let hoisted =
-    if prof.Fastprof.p_trace_hoisted = 0 then ""
-    else Printf.sprintf "; %d check uops hoisted to prologues" prof.Fastprof.p_trace_hoisted
-  in
-  let optimized =
-    if
-      prof.Fastprof.p_trace_fused = 0 && prof.Fastprof.p_trace_slots = 0
-      && prof.Fastprof.p_trace_dead_flags = 0
-    then ""
-    else
-      Printf.sprintf "; optimizer: %d fused, %d slots (%d/%d hit), %d dead flags"
-        prof.Fastprof.p_trace_fused prof.Fastprof.p_trace_slots prof.Fastprof.p_inline_hits
-        (prof.Fastprof.p_inline_hits + prof.Fastprof.p_inline_misses)
-        prof.Fastprof.p_trace_dead_flags
-  in
   let aborts =
     let total =
       prof.Fastprof.p_abort_cold + prof.Fastprof.p_abort_indirect + prof.Fastprof.p_abort_cap
@@ -285,9 +270,9 @@ let trace_summary (prof : Fastprof.t) =
   in
   Printf.sprintf
     "superblocks: %d formed (%d live, %d invalidated); %d of %d retired insns inside traces \
-     (%.1f%% coverage)%s%s%s"
+     (%.1f%% coverage)%s"
     prof.Fastprof.p_traces_formed live prof.Fastprof.p_traces_invalidated
-    prof.Fastprof.p_trace_covered prof.Fastprof.p_insns pct hoisted optimized aborts
+    prof.Fastprof.p_trace_covered prof.Fastprof.p_insns pct aborts
 
 let trace_table ?(top = 10) (prof : Fastprof.t) =
   let open X86sim in
@@ -299,8 +284,8 @@ let trace_table ?(top = 10) (prof : Fastprof.t) =
   let t =
     Table_fmt.create
       ~align:[ Table_fmt.Right; Table_fmt.Left; Table_fmt.Right; Table_fmt.Right;
-               Table_fmt.Right; Table_fmt.Right; Table_fmt.Right; Table_fmt.Left ]
-      [ "Entry"; "Blocks"; "Insns"; "Execs"; "Side exits"; "Cycles"; "Hoisted"; "Loop" ]
+               Table_fmt.Right; Table_fmt.Right; Table_fmt.Left ]
+      [ "Entry"; "Blocks"; "Insns"; "Execs"; "Side exits"; "Cycles"; "Loop" ]
   in
   List.iteri
     (fun i (s : Trace.stat) ->
@@ -313,7 +298,6 @@ let trace_table ?(top = 10) (prof : Fastprof.t) =
             string_of_int s.Trace.t_execs;
             string_of_int s.Trace.t_side_exits;
             Printf.sprintf "%.0f" s.Trace.t_cycles;
-            string_of_int s.Trace.t_hoisted;
             (if s.Trace.t_loops then "yes" else "-");
           ])
     traces;

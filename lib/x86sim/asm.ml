@@ -285,9 +285,38 @@ let parse_line lineno raw =
     Some (Program.I (parse_insn lineno (String.lowercase_ascii mnemonic) operands))
   end
 
+(* Label errors are reported here, against the line of the offending
+   definition or use: [Program.assemble] sees items, not lines, and
+   raises [Invalid_argument] for the same mistakes. *)
+let check_labels numbered =
+  let defined = Hashtbl.create 16 in
+  List.iter
+    (function
+      | line, Program.Label name ->
+        if Hashtbl.mem defined name then fail line "duplicate label %S" name;
+        Hashtbl.add defined name ()
+      | _, Program.I _ -> ())
+    numbered;
+  List.iter
+    (function
+      | line, Program.I insn ->
+        List.iter
+          (fun (tgt : Insn.target) ->
+            if not (Hashtbl.mem defined tgt.tname) then fail line "undefined label %S" tgt.tname)
+          (Insn.targets insn)
+      | _, Program.Label _ -> ())
+    numbered
+
 let parse text =
   let lines = String.split_on_char '\n' text in
-  List.concat (List.mapi (fun i l -> Option.to_list (parse_line (i + 1) l)) lines)
+  let numbered =
+    List.concat
+      (List.mapi
+         (fun i l -> match parse_line (i + 1) l with Some it -> [ (i + 1, it) ] | None -> [])
+         lines)
+  in
+  check_labels numbered;
+  List.map snd numbered
 
 let parse_program text = Program.assemble (parse text)
 

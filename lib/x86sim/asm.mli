@@ -39,7 +39,9 @@ exception Parse_error of { line : int; msg : string }
 
 val parse : string -> Program.item list
 (** Parse a whole listing. Raises {!Parse_error} with a 1-based line
-    number. The result still needs {!Program.assemble}. *)
+    number, including for a duplicate label (the line of the second
+    definition) and an undefined label (the line of its first use). The
+    result still needs {!Program.assemble}, which cannot fail on it. *)
 
 val parse_program : string -> Program.t
 (** [Program.assemble (parse s)]. *)

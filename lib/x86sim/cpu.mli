@@ -89,13 +89,6 @@ type t = {
           together with [tcache] on program-identity change; torn down
           eagerly by {!flush_translations}. Exposed for observability
           ({!Trace.stats}) and for tests tuning the formation policy. *)
-  mutable sl_vpn : int array;
-      (** Inline-translation slot arrays of the trace currently executing
-          — aliases of that trace's [tr_slot_*] arrays, installed by the
-          trace executor on entry so the optimized memory uops index them
-          without an extra indirection. [[||]] outside trace execution. *)
-  mutable sl_info : int array;
-  mutable sl_tok : int array;
   mutable syscall_handler : t -> unit;
   mutable vmcall_handler : t -> unit;
   mutable ept_violation_handler : t -> gpa:int -> access:Fault.access -> bool;
@@ -136,12 +129,11 @@ val load_program : t -> Program.t -> unit
 val flush_translations : t -> unit
 (** Invalidate every cached translation, eagerly: bump the block cache's
     generation, sever every cached block→block successor link, and tear
-    down all superblocks (plus installed hoist facts). After a flush no
-    stale block, chain link, trace, or side-exit stub can execute — not
-    even transiently. Required only after mutating the installed
-    program's code array in place; installing a different program via
-    {!load_program} or assigning [program] re-keys both tiers
-    automatically. *)
+    down all superblocks. After a flush no stale block, chain link,
+    trace, or side-exit stub can execute — not even transiently.
+    Required only after mutating the installed program's code array in
+    place; installing a different program via {!load_program} or
+    assigning [program] re-keys both tiers automatically. *)
 
 val set_traces_enabled : t -> bool -> unit
 (** Enable (default) or disable the trace tier; disabling also
@@ -150,23 +142,10 @@ val set_traces_enabled : t -> bool -> unit
 
 val traces_enabled : t -> bool
 
-val set_trace_fusion : t -> bool -> unit
-(** Enable (default) or disable the {!Traceopt} formation pass — macro-
-    fusion, inline translation slots, dead-flag elision and the lazy-rip
-    fast path that runs the rewritten bodies. Disabling invalidates live
-    traces (they re-form unoptimized) and pins the executor to the
-    careful per-uop-rip path; results are byte-identical either way. See
-    {!Trace.set_optimize}. *)
-
 val trace_fusion : t -> bool
-
-val install_trace_hoist_facts : t -> bool array -> unit
-(** Install per-rip loop-invariance facts licensing gate-check hoisting
-    to trace entry ([facts.(rip) = true] ⇒ the bounds check at [rip] may
-    run once per trace entry instead of once per iteration). Off by
-    default; intended to be fed from [Gate_analysis]-derived facts by the
-    memsentry layer. Changes modeled cost (that is the point), so leave
-    uninstalled for byte-identical tier comparisons. *)
+(** Always [false]: the simulator has no trace-lane uop optimizer. Its
+    only reader is the benchmark under [perfbench/], which records it in
+    each result's manifest. *)
 
 (** {2 Hooks and events}
 

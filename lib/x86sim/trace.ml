@@ -1,7 +1,7 @@
 (* Profile-guided superblock formation and registry. The hot executor
    lives in Cpu.exec_trace (it needs the uop interpreter); everything
-   that can be decided off the hot path — which chains to stitch, which
-   checks to hoist, when to tear traces down — lives here. *)
+   that can be decided off the hot path — which chains to stitch and when
+   to tear traces down — lives here. *)
 
 type exit_kind =
   | X_jmp of { target : int }
@@ -11,34 +11,19 @@ type exit_kind =
   | X_jmp_r of { r : int; predicted : int }
   | X_ret of { predicted : int }
 
-type seg = {
-  sg_blk : Ublock.block;
-  sg_uops : Ublock.uop array;
-  sg_rips : int array;
-  sg_exit : exit_kind;
-  sg_opt : Traceopt.oseg option;
-}
+type seg = { sg_blk : Ublock.block; sg_exit : exit_kind; sg_pad : bool }
 
 type trace = {
   tr_entry : int;
   tr_gen : int;
   tr_segs : seg array;
   tr_loops : bool;
-  tr_prologue : Ublock.uop array;
-  tr_prologue_rips : int array;
   tr_insns : int;
-  tr_slot_vpn : int array;
-  tr_slot_info : int array;
-  tr_slot_tok : int array;
   mutable tr_execs : int;
   mutable tr_side_exits : int;
   mutable tr_cycles : float;
   mutable tr_live : bool;
 }
-
-(* Zero-length arrays are shared atoms, but the executor compares with
-   physical equality, so pin one canonical instance. *)
-let no_rips : int array = [||]
 
 let dummy_trace =
   {
@@ -46,12 +31,7 @@ let dummy_trace =
     tr_gen = -1;
     tr_segs = [||];
     tr_loops = false;
-    tr_prologue = [||];
-    tr_prologue_rips = no_rips;
     tr_insns = 0;
-    tr_slot_vpn = [||];
-    tr_slot_info = [||];
-    tr_slot_tok = [||];
     tr_execs = 0;
     tr_side_exits = 0;
     tr_cycles = 0.0;
@@ -61,7 +41,6 @@ let dummy_trace =
 type tier = {
   code_len : int;
   mutable enabled : bool;
-  mutable optimize : bool;
   mutable hot_threshold : int;
   mutable min_samples : int;
   mutable jcc_bias : int;
@@ -70,23 +49,14 @@ type tier = {
   mutable formed_count : int;
   mutable invalidated_count : int;
   mutable covered_insns : int;
-  mutable hoisted_checks : int;
-  mutable fused_uops : int;
-  mutable cached_slots : int;
-  mutable dead_flags : int;
   mutable inline_hits : int;
   mutable inline_misses : int;
-  mutable inline_dead : bool;
   mutable abort_cold_branch : int;
   mutable abort_indirect_minority : int;
   mutable abort_cap_hit : int;
   mutable abort_handler_term : int;
-  mutable hoist_facts : bool array;
   mutable rec_entry : int;
-  mutable rec_rips : int array;
   mutable rec_active : bool;
-  mutable rec_lazy : bool;
-  mutable rec_issue0 : int;
 }
 
 (* 64 block entries before a chain is considered hot: low enough that a
@@ -115,7 +85,6 @@ let create ~code_len =
   {
     code_len;
     enabled = true;
-    optimize = true;
     hot_threshold = default_hot_threshold;
     min_samples = default_min_samples;
     jcc_bias = default_jcc_bias;
@@ -124,29 +93,19 @@ let create ~code_len =
     formed_count = 0;
     invalidated_count = 0;
     covered_insns = 0;
-    hoisted_checks = 0;
-    fused_uops = 0;
-    cached_slots = 0;
-    dead_flags = 0;
     inline_hits = 0;
     inline_misses = 0;
-    inline_dead = false;
     abort_cold_branch = 0;
     abort_indirect_minority = 0;
     abort_cap_hit = 0;
     abort_handler_term = 0;
-    hoist_facts = [||];
     rec_entry = 0;
-    rec_rips = no_rips;
     rec_active = false;
-    rec_lazy = false;
-    rec_issue0 = 0;
   }
 
 let recreate old ~code_len =
   let t = create ~code_len in
   t.enabled <- old.enabled;
-  t.optimize <- old.optimize;
   t.hot_threshold <- old.hot_threshold;
   t.min_samples <- old.min_samples;
   t.jcc_bias <- old.jcc_bias;
@@ -155,18 +114,13 @@ let recreate old ~code_len =
 let[@inline] at tier entry = Array.unsafe_get tier.by_entry entry
 
 let invalidate_all tier =
-  (match tier.formed with
-  | [] -> ()
-  | live ->
-    List.iter
-      (fun tr ->
-        tr.tr_live <- false;
-        tier.by_entry.(tr.tr_entry) <- dummy_trace;
-        tier.invalidated_count <- tier.invalidated_count + 1)
-      live;
-    tier.formed <- []);
-  (* A flush means the code may have changed under the facts. *)
-  tier.hoist_facts <- [||]
+  List.iter
+    (fun tr ->
+      tr.tr_live <- false;
+      tier.by_entry.(tr.tr_entry) <- dummy_trace;
+      tier.invalidated_count <- tier.invalidated_count + 1)
+    tier.formed;
+  tier.formed <- []
 
 let set_hot_threshold tier n = tier.hot_threshold <- max 1 n
 
@@ -183,19 +137,7 @@ let set_enabled tier on =
 
 let set_min_samples tier n = tier.min_samples <- max 1 n
 
-let set_optimize tier on =
-  if on <> tier.optimize then begin
-    tier.optimize <- on;
-    (* Installed bodies were rewritten under the other setting. *)
-    invalidate_all tier
-  end
-
 let set_jcc_bias tier n = tier.jcc_bias <- max 1 n
-
-let install_hoist_facts tier facts =
-  (* Re-form under the new facts; live traces were built without them. *)
-  invalidate_all tier;
-  tier.hoist_facts <- facts
 
 (* ------------------------------------------------------------------ *)
 (* Formation                                                           *)
@@ -256,132 +198,17 @@ let predict tier (b : Ublock.block) : (exit_kind * int) option =
     tier.abort_handler_term <- tier.abort_handler_term + 1;
     None
 
-(* {2 Gate-check hoisting} *)
-
-(* Whether [u] writes general register [r] / bound register [b]: the
-   kill-set test behind hoist soundness. Conservative by construction —
-   anything not listed is assumed to write nothing relevant (stores,
-   compares, checks), and vector ops touch only xmm state. *)
-let writes_gpr (u : Ublock.uop) r =
-  match u with
-  | Ublock.Umov_rr { d; _ }
-  | Ublock.Umov_ri { d; _ }
-  | Ublock.Uload_bd { d; _ }
-  | Ublock.Uload_gen { d; _ }
-  | Ublock.Ulea { d; _ }
-  | Ublock.Ulea32 { d; _ }
-  | Ublock.Ualu_rr { d; _ }
-  | Ublock.Ualu_ri { d; _ }
-  | Ublock.Upop { d }
-  | Ublock.Umovq_rx { r = d; _ } -> d = r
-  | Ublock.Urdpkru _ -> r = Reg.rax
-  | _ -> false
-
-let writes_bnd (u : Ublock.uop) b =
-  match u with
-  | Ublock.Ubnd_set { b = d; _ } | Ublock.Ubndmov_load { b = d; _ } -> d = b
-  | _ -> false
-
-(* Uop kinds eligible for prologue motion: the MPX check-site shape
-   ([lea scratch, ea; bndcu b, scratch] — the lea must travel with the
-   check it feeds, and the in-body access through scratch then reads the
-   prologue-computed value). All are free of memory writes and flag
-   ([cmp]) effects, so running them once at entry instead of every
-   restart perturbs nothing but their own cost — which is the point. *)
-let hoist_candidate (u : Ublock.uop) =
-  match u with Ublock.Ulea _ | Ublock.Ulea32 _ | Ublock.Ubndc _ -> true | _ -> false
-
-(* gprs a candidate reads / writes: the registers whose stability across
-   loop restarts the installed fact asserts and [plan_hoist] re-verifies. *)
-let candidate_regs (u : Ublock.uop) =
-  match u with
-  | Ublock.Ulea { d; base; index; _ } | Ublock.Ulea32 { d; base; index; _ } ->
-    d :: List.filter (fun r -> r >= 0) [ base; index ]
-  | Ublock.Ubndc { r; _ } -> [ r ]
-  | _ -> []
-
-(* Decide the hoist set for a candidate trace: every fact-marked
-   candidate uop across all [blocks], taken as one group, or [None] if
-   the group fails the defensive soundness check. Facts assert
-   loop-invariance (the embedding layer derived them from the same
-   conditions [Gate_opt]'s static check motion proves); this check
-   re-establishes the part that matters for trace semantics without
-   trusting the fact blindly:
-   - the group must contain a bounds check (hoisting a bare lea is not
-     check motion), and no register the group reads or writes may be
-     written by any uop {e outside} the group, anywhere in the trace
-     body — so the prologue-computed scratch value is exactly what every
-     restart would have recomputed;
-   - no uop in the body may write a hoisted check's bound register;
-   - rsp never qualifies: call/ret/push/pop move it implicitly, past
-     [writes_gpr]'s sight. *)
-let plan_hoist tier (blocks : Ublock.block list) =
-  let facts = tier.hoist_facts in
-  let nfacts = Array.length facts in
-  let flags =
-    List.map
-      (fun (blk : Ublock.block) ->
-        let body = blk.Ublock.uops in
-        Array.init (Array.length body) (fun i ->
-          let rip = blk.Ublock.entry + i in
-          rip < nfacts && Array.unsafe_get facts rip && hoist_candidate body.(i)))
-      blocks
-  in
-  let hoisted =
-    List.concat
-      (List.map2
-         (fun (blk : Ublock.block) fl ->
-           List.filteri (fun i _ -> fl.(i)) (Array.to_list blk.Ublock.uops))
-         blocks flags)
-  in
-  let bnds = List.filter_map (function Ublock.Ubndc { b; _ } -> Some b | _ -> None) hoisted in
-  let regs = List.concat_map candidate_regs hoisted in
-  let sound =
-    bnds <> []
-    && List.for_all (fun r -> r <> Reg.rsp) regs
-    && List.for_all2
-         (fun (blk : Ublock.block) fl ->
-           let body = blk.Ublock.uops in
-           let ok = ref true in
-           for i = 0 to Array.length body - 1 do
-             if not fl.(i) then begin
-               let v = Array.unsafe_get body i in
-               if List.exists (fun r -> writes_gpr v r) regs
-                  || List.exists (fun b -> writes_bnd v b) bnds
-               then ok := false
-             end
-           done;
-           !ok)
-         blocks flags
-  in
-  if sound then Some flags else None
-
-(* Split [blk]'s body along the planned hoist [flags] into (kept uops +
-   their rips, hoisted uops + rips). Identity mapping is preserved
-   ([no_rips]) when nothing was hoisted from this block. *)
-let apply_hoist (blk : Ublock.block) flags =
-  let body = blk.Ublock.uops in
-  let n = Array.length body in
-  if not (Array.exists (fun x -> x) flags) then (body, no_rips, [], [])
-  else begin
-    let kept = ref [] and kept_rips = ref [] and pro = ref [] and pro_rips = ref [] in
-    for i = n - 1 downto 0 do
-      let rip = blk.Ublock.entry + i in
-      if flags.(i) then begin
-        pro := body.(i) :: !pro;
-        pro_rips := rip :: !pro_rips
-      end
-      else begin
-        kept := body.(i) :: !kept;
-        kept_rips := rip :: !kept_rips
-      end
-    done;
-    (Array.of_list !kept, Array.of_list !kept_rips, !pro, !pro_rips)
-  end
-
 let static_insns (b : Ublock.block) =
   Array.length b.Ublock.uops
   + (match b.Ublock.term with Ublock.Term_fall_off -> 0 | _ -> 1)
+
+(* Whether a segment's body, less a cmp/test feeding its jcc exit, is
+   empty: the segments [Cpu.exec_trace] pads with one no-op issue. *)
+let padded (blk : Ublock.block) x =
+  match (blk.Ublock.uops, x) with
+  | [||], _ -> true
+  | [| Ublock.Ucmp_rr _ | Ublock.Ucmp_ri _ | Ublock.Utest_rr _ |], X_jcc _ -> true
+  | _ -> false
 
 let try_form tier cache (b0 : Ublock.block) =
   let entry = b0.Ublock.entry in
@@ -413,79 +240,17 @@ let try_form tier cache (b0 : Ublock.block) =
     let chain, loops = walk b0 [] 0 [ entry ] in
     let n = List.length chain in
     if n >= 2 || (n = 1 && loops) then begin
-      let blocks = List.map fst chain in
-      let plan =
-        if Array.length tier.hoist_facts > 0 then plan_hoist tier blocks else None
-      in
-      let pro = ref [] and pro_rips = ref [] in
-      (* (block, post-hoist body, body rips, exit) per segment. *)
-      let raw =
-        match plan with
-        | None ->
-          List.map
-            (fun ((blk : Ublock.block), x) -> (blk, blk.Ublock.uops, no_rips, x))
-            chain
-        | Some flags ->
-          List.map2
-            (fun ((blk : Ublock.block), x) fl ->
-              let kept, kept_rips, p, pr = apply_hoist blk fl in
-              pro := !pro @ p;
-              pro_rips := !pro_rips @ pr;
-              (blk, kept, kept_rips, x))
-            chain flags
-      in
-      (* Optimize the flat bodies before install. The rewritten bodies
-         are observationally identical (Traceopt's contract); turning the
-         pass off yields [sg_opt = None] everywhere and the executor runs
-         the eager path on the raw bodies. *)
-      let opt =
-        if tier.optimize then begin
-          let bodies = Array.of_list (List.map (fun (_, u, _, _) -> u) raw) in
-          let exit_jcc =
-            Array.of_list
-              (List.map (fun (_, _, _, x) -> match x with X_jcc _ -> true | _ -> false) raw)
-          in
-          let exit_jmp =
-            Array.of_list
-              (List.map (fun (_, _, _, x) -> match x with X_jmp _ -> true | _ -> false) raw)
-          in
-          let r = Traceopt.optimize ~bodies ~exit_jcc ~exit_jmp ~loops in
-          tier.fused_uops <- tier.fused_uops + r.Traceopt.r_fused;
-          tier.cached_slots <- tier.cached_slots + r.Traceopt.r_slots;
-          tier.dead_flags <- tier.dead_flags + r.Traceopt.r_nf;
-          Some r
-        end
-        else None
-      in
-      let segs =
-        List.mapi
-          (fun i (blk, uops, rips, x) ->
-            {
-              sg_blk = blk;
-              sg_uops = uops;
-              sg_rips = rips;
-              sg_exit = x;
-              sg_opt =
-                (match opt with
-                | Some r -> Some r.Traceopt.r_segs.(i)
-                | None -> None);
-            })
-          raw
-      in
-      let n_slots = match opt with Some r -> r.Traceopt.r_slots | None -> 0 in
       let tr =
         {
           tr_entry = entry;
           tr_gen = Ublock.generation cache;
-          tr_segs = Array.of_list segs;
+          tr_segs =
+            Array.of_list
+              (List.map
+                 (fun (sg_blk, sg_exit) -> { sg_blk; sg_exit; sg_pad = padded sg_blk sg_exit })
+                 chain);
           tr_loops = loops;
-          tr_prologue = Array.of_list !pro;
-          tr_prologue_rips = Array.of_list !pro_rips;
-          tr_insns = List.fold_left (fun a b -> a + static_insns b) 0 blocks;
-          (* vpn -1 can never match a real page, so fresh slots miss. *)
-          tr_slot_vpn = Array.make (max n_slots 1) (-1);
-          tr_slot_info = Array.make (max n_slots 1) 0;
-          tr_slot_tok = Array.make (max n_slots 1) 0;
+          tr_insns = List.fold_left (fun a (b, _) -> a + static_insns b) 0 chain;
           tr_execs = 0;
           tr_side_exits = 0;
           tr_cycles = 0.0;
@@ -494,8 +259,7 @@ let try_form tier cache (b0 : Ublock.block) =
       in
       tier.by_entry.(entry) <- tr;
       tier.formed <- tr :: tier.formed;
-      tier.formed_count <- tier.formed_count + 1;
-      tier.hoisted_checks <- tier.hoisted_checks + Array.length tr.tr_prologue
+      tier.formed_count <- tier.formed_count + 1
     end
   end
 
@@ -511,7 +275,6 @@ type stat = {
   t_side_exits : int;
   t_cycles : float;
   t_loops : bool;
-  t_hoisted : int;
 }
 
 let stat_of (tr : trace) =
@@ -524,7 +287,6 @@ let stat_of (tr : trace) =
     t_side_exits = tr.tr_side_exits;
     t_cycles = tr.tr_cycles;
     t_loops = tr.tr_loops;
-    t_hoisted = Array.length tr.tr_prologue;
   }
 
 let stats tier = List.rev_map stat_of tier.formed

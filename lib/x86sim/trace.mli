@@ -40,20 +40,6 @@
     the tier models a software-dispatch optimization of the simulator,
     not a microarchitectural feature of the modeled CPU.
 
-    {b Gate-check hoisting} (opt-in): when the embedding layer installs
-    per-rip facts ({!install_hoist_facts}) asserting that a check site is
-    loop-invariant — derived from the same conditions [Gate_opt]'s
-    CFG-scope check motion proves — formation lifts the fact-marked site
-    uops (the [lea] computing the checked address together with the
-    [Ubndc] it feeds) into a prologue executed once per trace {e entry};
-    internal loop restarts skip it, and the in-body access reads the
-    prologue-computed scratch value. Formation re-verifies the facts
-    against the trace body (no uop outside the hoisted group may write
-    any register the group touches, nor the check's bound register)
-    before trusting them. This intentionally changes the modeled cost
-    (fewer retired checks — the pay-once-per-window story), so it is off
-    unless facts are installed.
-
     {b Invalidation} is eager: {!invalidate_all} (wired through
     [Cpu.flush_translations]) unregisters every live trace, so a stale
     superblock — including its side-exit stubs — can never execute after
@@ -76,20 +62,16 @@ type exit_kind =
           a mismatch side-exits with [rip] already set to the actual
           target. *)
 
-(** One fused basic block inside a trace. *)
+(** One fused basic block inside a trace. The executor runs the block's
+    own uops, so uop [i] is instruction [sg_blk.entry + i]. *)
 type seg = {
   sg_blk : Ublock.block;  (** the underlying block (profile counters live here) *)
-  sg_uops : Ublock.uop array;
-      (** shares [sg_blk.uops] unless hoisting elided checks *)
-  sg_rips : int array;
-      (** per-uop instruction indices; {!no_rips} means the identity
-          mapping [sg_blk.entry + i] (no uop was elided) *)
   sg_exit : exit_kind;
-  sg_opt : Traceopt.oseg option;
-      (** the {!Traceopt}-rewritten body (fused pairs, inline translation
-          slots, dead flags elided) the executor's lazy-rip fast path
-          runs; [None] when the optimizer is off. The careful path (and
-          every mid-segment resume) always runs [sg_uops]. *)
+  sg_pad : bool;
+      (** the body is empty, or is a single cmp/test feeding an [X_jcc]
+          exit. Unattributed runs charge such a segment one zero-latency
+          no-op issue ahead of its body when fuel covers it (see
+          [Cpu.exec_trace]). *)
 }
 
 type trace = {
@@ -99,17 +81,7 @@ type trace = {
   tr_loops : bool;
       (** last segment's predicted exit returns to [tr_entry]: the
           executor restarts the trace without re-dispatching *)
-  tr_prologue : Ublock.uop array;  (** hoisted checks, run once per trace entry *)
-  tr_prologue_rips : int array;
   tr_insns : int;  (** static instructions covered (uops + terminators) *)
-  tr_slot_vpn : int array;
-      (** inline translation slots, indexed by the [slot] field of the
-          optimized bodies' [U*_c]/[Ufuse_mask_*] uops: cached vpn (-1 =
-          never charged), packed {!Tlb.slot_info} word, and the
-          {!Mmu.generation_token} the entry was charged under. The CPU
-          aliases these three into its own fields on trace entry. *)
-  tr_slot_info : int array;
-  tr_slot_tok : int array;
   mutable tr_execs : int;  (** entries (not loop restarts); saturating *)
   mutable tr_side_exits : int;
   mutable tr_cycles : float;  (** simulated cycles retired inside this trace *)
@@ -119,9 +91,6 @@ type trace = {
 val dummy_trace : trace
 (** The "absent" registry sentinel; never executed. *)
 
-val no_rips : int array
-(** Shared empty array marking identity rip mapping in [sg_rips]. *)
-
 (** Per-CPU tier state: the entry-indexed registry, formation parameters,
     cumulative statistics, and the executor's fault-reconciliation
     scratch. Fields are mutable and exposed: the CPU's inner loop reads
@@ -129,9 +98,6 @@ val no_rips : int array
 type tier = {
   code_len : int;
   mutable enabled : bool;
-  mutable optimize : bool;
-      (** run {!Traceopt} at formation (default true); toggled via
-          {!set_optimize} *)
   mutable hot_threshold : int;
       (** exec-count at which the block tier attempts formation;
           [max_int] when the tier is disabled *)
@@ -145,25 +111,12 @@ type tier = {
   mutable invalidated_count : int;
   mutable covered_insns : int;
       (** retired instructions executed from inside superblocks *)
-  mutable hoisted_checks : int;
-      (** check uops elided into prologues, cumulative over formation *)
-  mutable fused_uops : int;
-      (** macro-fused pairs installed, cumulative over formation *)
-  mutable cached_slots : int;  (** inline translation slots installed *)
-  mutable dead_flags : int;  (** dead flag writes elided *)
   mutable inline_hits : int;
-      (** inline-slot short-circuits taken by the executor (runtime) *)
+      (** always 0: nothing writes it. Its only reader is the benchmark
+          under [perfbench/], which reports it as a hit ratio. *)
   mutable inline_misses : int;
-      (** inline-slot misses (full translation path taken; runtime) *)
-  mutable inline_dead : bool;
-      (** adaptive kill switch: set by the executor once the miss count
-          vastly outruns the hits (a TLB-thrashing workload bumps
-          [Mmu.generation_token] on every fill, so no token ever
-          revalidates and every probe+recharge is pure overhead). Once
-          set, optimized memory uops skip the slot probe and take the
-          eager path directly; per-program (the tier is re-created per
-          program), and observationally free either way (the miss path
-          {e is} the eager path). *)
+      (** always 0: nothing writes it. Its only reader is the benchmark
+          under [perfbench/]. *)
   (* Chain-end reason counters: why formation walks stopped where they
      did — the trace-coverage diagnosis signal. Cumulative over every
      formation attempt. *)
@@ -174,18 +127,10 @@ type tier = {
   mutable abort_cap_hit : int;  (** [max_segs]/[max_insns] reached *)
   mutable abort_handler_term : int;
       (** halt / serializing-handler / fall-off terminator *)
-  mutable hoist_facts : bool array;
-      (** per-rip loop-invariance facts; [[||]] = none installed *)
   (* Fault-reconciliation scratch for the batched executor (lives here so
      the executor allocates nothing). *)
-  mutable rec_entry : int;
-  mutable rec_rips : int array;
-  mutable rec_active : bool;
-  mutable rec_lazy : bool;
-      (** the active segment runs an optimized body with no per-uop rip
-          re-arm: reconstruct the faulting rip from the issue delta
-          against [rec_issue0] instead of reading [Cpu.rip] *)
-  mutable rec_issue0 : int;  (** [Pipeline.instructions] at segment start *)
+  mutable rec_entry : int;  (** entry of the segment whose body is running *)
+  mutable rec_active : bool;  (** a segment body (not an exit) is running *)
 }
 
 val default_hot_threshold : int
@@ -197,7 +142,7 @@ val create : code_len:int -> tier
     sized for a [code_len]-instruction program. *)
 
 val recreate : tier -> code_len:int -> tier
-(** A fresh tier for a new program, inheriting [enabled]/[optimize]/
+(** A fresh tier for a new program, inheriting [enabled]/
     [hot_threshold]/[min_samples]/[jcc_bias] from [old] (statistics and
     registry start empty). *)
 
@@ -210,21 +155,10 @@ val set_enabled : tier -> bool -> unit
 val set_hot_threshold : tier -> int -> unit
 val set_min_samples : tier -> int -> unit
 
-val set_optimize : tier -> bool -> unit
-(** Toggle the {!Traceopt} formation pass. Invalidates live traces on a
-    change (installed bodies were rewritten under the other setting);
-    re-formation is driven by the block tier's trigger as usual. *)
-
 val set_jcc_bias : tier -> int -> unit
 (** Set the jcc direction-bias numerator (clamped to at least 1). Affects
     future formation only: already-installed traces keep their baked
     direction, which remains correct (the cold direction side-exits). *)
-
-val install_hoist_facts : tier -> bool array -> unit
-(** Install per-rip loop-invariance facts ([facts.(rip) = true] means the
-    check at [rip] may be hoisted to trace entry). Invalidates live
-    traces so they re-form under the new facts. Facts are cleared by
-    {!invalidate_all} (a flush means the code changed under them). *)
 
 val at : tier -> int -> trace
 (** Registry lookup: the live trace entered at instruction index [entry],
@@ -236,8 +170,8 @@ val try_form : tier -> Ublock.cache -> Ublock.block -> unit
     profile does not support a chain (see formation policy above). *)
 
 val invalidate_all : tier -> unit
-(** Eagerly unregister every live trace and clear installed hoist facts.
-    Wired through [Cpu.flush_translations]. *)
+(** Eagerly unregister every live trace. Wired through
+    [Cpu.flush_translations]. *)
 
 (** {2 Observability} *)
 
@@ -249,7 +183,6 @@ type stat = {
   t_side_exits : int;
   t_cycles : float;
   t_loops : bool;
-  t_hoisted : int;  (** prologue length (hoisted checks) *)
 }
 
 val stats : tier -> stat list

@@ -32,50 +32,6 @@ type uop =
   | Uaesimc of { d : int; s : int }
   | Uvext_high of { d : int; s : int; meta : int }
   | Uvins_high of { d : int; s : int; meta : int }
-  (* ---- Trace-lane optimizer shapes (built by Traceopt, never by
-     [uop_of]). They only appear inside optimized trace bodies, which are
-     executed exclusively by the trace tier's fast path; the block tier
-     and the careful trace path never see them. Each is observationally
-     identical to the uop (or adjacent uop pair) it replaces — the
-     fusion-on/off differential sweeps pin that. *)
-  (* ALU with a dead flag result: the [d2:flags] write is elided because a
-     later flag write is provably observed first. Same [meta]. *)
-  | Ualu_rr_nf of { op : Insn.alu; d : int; s : int; meta : int }
-  | Ualu_ri_nf of { op : Insn.alu; d : int; imm : int; meta : int }
-  (* Memory uops with an inline translation slot: [slot] indexes the
-     owning trace's vpn/info/token arrays; on a token-valid vpn match the
-     TLB probe and page walk are short-circuited (the hit is still
-     posted), otherwise the full path runs and recharges the slot. *)
-  | Uload_bd_c of { d : int; base : int; disp : int; slot : int; meta : int }
-  | Uload_gen_c of
-      { d : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ustore_bd_c of { s : int; base : int; disp : int; slot : int; meta : int }
-  | Ustore_gen_c of
-      { s : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ustorei_bd_c of { imm : int; base : int; disp : int; slot : int; meta : int }
-  | Ustorei_gen_c of
-      { imm : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  (* Macro-fused [alu_ri d, imm] + base+disp access through [d] (the SFI
-     mask-then-access idiom): one dispatch computes the masked address,
-     issues the ALU half ([m1], before the access's fault point), then
-     performs the slot-cached access and issues [m2]. [nf] carries the
-     dead-flag marking of the ALU half. *)
-  | Ufuse_mask_load of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; ld : int; disp : int;
-        slot : int; m2 : int }
-  | Ufuse_mask_store of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; s : int; disp : int;
-        slot : int; m2 : int }
-  | Ufuse_mask_storei of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; simm : int; disp : int;
-        slot : int; m2 : int }
-  (* Macro-fused [lea]/[lea32] + MPX bound check on its result (the MemSentry
-     MPX gate idiom). Both halves issue back to back (the eager path has
-     only a counter bump between them); the Bound_violation fault point is
-     after both issues, matching [Cpu.exec]'s Bndcu ordering. *)
-  | Ufuse_lea_bndc of
-      { d : int; base : int; index : int; scale : int; disp : int; w32 : bool; m1 : int;
-        upper : bool; b : int; m2 : int }
 
 type terminator =
   | Term_halt

@@ -80,50 +80,6 @@ type uop =
   | Uaesimc of { d : int; s : int }
   | Uvext_high of { d : int; s : int; meta : int }
   | Uvins_high of { d : int; s : int; meta : int }
-  | Ualu_rr_nf of { op : Insn.alu; d : int; s : int; meta : int }
-      (** {!Ualu_rr} whose flag result is provably dead (a later flag
-          write is observed first on every path out of the trace): the
-          [cmp] store is elided. Built only by [Traceopt]; appears only in
-          optimized trace bodies, like every constructor below. *)
-  | Ualu_ri_nf of { op : Insn.alu; d : int; imm : int; meta : int }
-  | Uload_bd_c of { d : int; base : int; disp : int; slot : int; meta : int }
-      (** {!Uload_bd} with an inline translation slot: [slot] indexes the
-          owning trace's vpn/info/token arrays ({!Mmu.generation_token}
-          contract). On a token-valid vpn match the TLB probe and walk are
-          short-circuited (the hit is still posted so statistics and
-          timing are unchanged); otherwise the full path runs and
-          recharges the slot. The [_c] variants below follow suit. *)
-  | Uload_gen_c of
-      { d : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ustore_bd_c of { s : int; base : int; disp : int; slot : int; meta : int }
-  | Ustore_gen_c of
-      { s : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ustorei_bd_c of { imm : int; base : int; disp : int; slot : int; meta : int }
-  | Ustorei_gen_c of
-      { imm : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ufuse_mask_load of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; ld : int; disp : int;
-        slot : int; m2 : int }
-      (** Macro-fused [alu_ri op d, imm] + [load ld, [d+disp]] — the SFI
-          mask-then-access idiom. One dispatch: apply the ALU, write [d]
-          (and [cmp] unless [nf]), issue [m1] {e before} the access's
-          fault point, then run the slot-cached access on the just-
-          computed value and issue [m2]. Architecturally identical to the
-          unfused pair. *)
-  | Ufuse_mask_store of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; s : int; disp : int;
-        slot : int; m2 : int }
-  | Ufuse_mask_storei of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; simm : int; disp : int;
-        slot : int; m2 : int }
-  | Ufuse_lea_bndc of
-      { d : int; base : int; index : int; scale : int; disp : int; w32 : bool; m1 : int;
-        upper : bool; b : int; m2 : int }
-      (** Macro-fused [lea]/[lea32] ([w32]) + MPX bound check on its
-          result — the MemSentry MPX gate idiom. Both halves issue back to
-          back ({!Pipeline.issue_packed_pair_static}; the eager path has
-          only a counter bump between them); the [Bound_violation] fault
-          point stays {e after} both issues, as in the interpreter. *)
 
 (** How a block ends, with branch targets resolved to instruction
     indices. [Term_exec] instructions (serializing/handler instructions:

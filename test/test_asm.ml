@@ -43,7 +43,9 @@ let test_parse_errors_carry_line_numbers () =
   in
   check_fails "nop\nbogus rax, rbx\n" 2;
   check_fails "mov rax\n" 1;
-  check_fails "mov rax, [rqq+8]\n" 1
+  check_fails "mov rax, [rqq+8]\n" 1;
+  check_fails "main:\n  nop\n  jne nowhere\n  hlt\n" 3;
+  check_fails "a:\n  nop\n\na:\n  hlt\n" 4
 
 let test_mem_operand_forms () =
   let parse_one s =

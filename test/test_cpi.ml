@@ -106,7 +106,36 @@ let test_fastprof_json_traces () =
   let fp0 = Fastprof.of_json stripped in
   Alcotest.(check int) "absent traces: zero formed" 0 fp0.Fastprof.p_traces_formed;
   Alcotest.(check bool) "absent traces: empty list" true (fp0.Fastprof.p_traces = []);
-  Alcotest.(check int) "remaining fields intact" fp.Fastprof.p_insns fp0.Fastprof.p_insns
+  Alcotest.(check int) "remaining fields intact" fp.Fastprof.p_insns fp0.Fastprof.p_insns;
+  (* Older profiles carry trace-optimizer and hoisting counters this
+     version no longer writes: of_json must ignore them. *)
+  let add_obsolete = function
+    | J.Obj fields -> J.Obj (fields @ [ ("hoisted", J.Int 0) ])
+    | v -> v
+  in
+  let with_obsolete =
+    match j with
+    | J.Obj fields ->
+      J.Obj
+        (List.map
+           (function
+             | "traces", J.Obj tf ->
+               ( "traces",
+                 J.Obj
+                   (List.map
+                      (function
+                        | "list", J.List l -> ("list", J.List (List.map add_obsolete l))
+                        | kv -> kv)
+                      tf
+                   @ List.map
+                       (fun k -> (k, J.Int 1))
+                       [ "hoisted_checks"; "fused_uops"; "cached_slots"; "dead_flags";
+                         "inline_hits"; "inline_misses" ]) )
+             | kv -> kv)
+           fields)
+    | _ -> Alcotest.fail "profile JSON is not an object"
+  in
+  Alcotest.(check bool) "obsolete keys ignored" true (Fastprof.of_json with_obsolete = fp)
 
 (* --- observation is free: counters never change the modeled run --- *)
 
@@ -173,9 +202,7 @@ let test_diff_flags_regressions () =
   let mk rows =
     { Fastprof.p_workload = "w"; p_technique = "MPK"; p_cycles = 0.0; p_insns = 0;
       p_rows = rows; p_blocks = []; p_traces = []; p_traces_formed = 0;
-      p_traces_invalidated = 0; p_trace_covered = 0; p_trace_hoisted = 0;
-      p_trace_fused = 0; p_trace_slots = 0; p_trace_dead_flags = 0;
-      p_inline_hits = 0; p_inline_misses = 0; p_abort_cold = 0;
+      p_traces_invalidated = 0; p_trace_covered = 0; p_abort_cold = 0;
       p_abort_indirect = 0; p_abort_cap = 0; p_abort_handler = 0;
       p_compiles = 0; p_invalidations = 0;
       p_l1_evictions = 0; p_l2_evictions = 0; p_l3_evictions = 0; p_tlb_evictions = 0;

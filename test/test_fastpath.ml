@@ -538,89 +538,13 @@ let machine_trace_tier_differential () =
         exhaustive_cases)
     [ 1; 7; 1000 ]
 
-(* --- trace-lane uop optimizer: fusion off, slot kill, lazy rip --------- *)
-
-(* The sweep above runs the trace tier with the optimizer at its default
-   (on). This completes the matrix: the same constructors with the
-   optimizer explicitly off must also match the block tier, so a
-   divergence in either sweep pins the blame side (formation vs
-   rewriting). *)
-let three_tier_fusion_off_differential () =
-  List.iter
-    (fun (name, items) ->
-      let block_cpu = Cpu.create () in
-      Cpu.set_traces_enabled block_cpu false;
-      let block =
-        run_case_on ~hooks:false block_cpu (fun () -> Cpu.run block_cpu) (items ())
-      in
-      let plain_cpu = Cpu.create () in
-      force_traces plain_cpu;
-      Cpu.set_trace_fusion plain_cpu false;
-      let plain =
-        run_case_on ~hooks:false plain_cpu (fun () -> Cpu.run plain_cpu) (items ())
-      in
-      Alcotest.(check (list string)) (name ^ ": unoptimized traces = block tier") []
-        (diff_fields plain block))
-    exhaustive_cases
-
-(* A hot loop with a load and a store through a loop-invariant pointer:
-   forms a looping superblock whose optimized body carries inline
-   translation slots that hit every iteration after the first. *)
-let memory_loop_items ~n =
-  let i x = Program.I x in
-  let m = Insn.mem in
-  [
-    i (Insn.Mov_ri (Reg.rbx, n));
-    i (Insn.Mov_ri (Reg.rdx, data_va));
-    Program.Label "loop";
-    i (Insn.Load (Reg.rcx, m ~base:Reg.rdx 0));
-    i (Insn.Alu_ri (Insn.Add, Reg.rcx, 1));
-    i (Insn.Store (m ~base:Reg.rdx 0, Reg.rcx));
-    i (Insn.Alu_ri (Insn.Sub, Reg.rbx, 1));
-    i (Insn.Cmp_ri (Reg.rbx, 0));
-    i (Insn.Jcc (Insn.Ne, Insn.target "loop"));
-    i Insn.Halt;
-  ]
-
-let inline_slot_kill_is_invisible () =
-  let block_cpu = Cpu.create () in
-  Cpu.set_traces_enabled block_cpu false;
-  let block =
-    run_case_on ~hooks:false block_cpu (fun () -> Cpu.run block_cpu) (memory_loop_items ~n:60)
-  in
-  (* Live slots: the optimized body's loads/stores short-circuit the MMU
-     through the per-uop slot after the first iteration charges it. *)
-  let live_cpu = Cpu.create () in
-  force_traces live_cpu;
-  let live =
-    run_case_on ~hooks:false live_cpu (fun () -> Cpu.run live_cpu) (memory_loop_items ~n:60)
-  in
-  Alcotest.(check (list string)) "live inline slots = block tier" [] (diff_fields live block);
-  Alcotest.(check bool) "slots were installed and hit" true
-    (live_cpu.Cpu.traces.Trace.cached_slots > 0 && live_cpu.Cpu.traces.Trace.inline_hits > 0);
-  (* Killed slots: pre-set the adaptive kill switch (normally flipped by
-     the executor on a thrashing miss ratio) — every optimized memory uop
-     must take the eager path with identical architectural results. *)
-  let killed_cpu = Cpu.create () in
-  force_traces killed_cpu;
-  (* Set the switch inside the run thunk: [load_program] recreates the
-     tier (statistics and the switch start fresh per program). *)
-  let killed =
-    run_case_on ~hooks:false killed_cpu
-      (fun () ->
-        killed_cpu.Cpu.traces.Trace.inline_dead <- true;
-        Cpu.run killed_cpu)
-      (memory_loop_items ~n:60)
-  in
-  Alcotest.(check (list string)) "killed inline slots = block tier" []
-    (diff_fields killed block);
-  Alcotest.(check int) "killed run never hit a slot" 0 killed_cpu.Cpu.traces.Trace.inline_hits
+(* --- trace tier: fault precision ---------------------------------------- *)
 
 (* A load walking forward 8 bytes per iteration: [run_case_on] maps 8 KiB
    at [data_va], so iteration 1024 page-faults — long after the loop has
-   formed a superblock, so the fault is raised from the optimizer's
-   lazy-rip fast path, which must reconstruct the faulting [rip] from the
-   pipeline issue delta. *)
+   formed a superblock, so the fault unwinds out of a trace segment and
+   the executor must settle its batched counters from the faulting
+   [rip]. *)
 let walking_load_items ~n =
   let i x = Program.I x in
   let m = Insn.mem in
@@ -636,10 +560,9 @@ let walking_load_items ~n =
     i Insn.Halt;
   ]
 
-(* A lea+bndcu pair (the [Ufuse_lea_bndc] fusion shape) whose checked
-   address walks past the bound mid-trace: [Bound_violation] is raised by
-   the check stage, so the reconstruction must account for the fused
-   uop's already-issued instruction (the issued-minus-one case). *)
+(* A lea+bndcu pair (the MPX check-site shape) whose checked address
+   walks past the bound mid-trace: [Bound_violation] is raised after the
+   check has issued, mid-segment. *)
 let bound_walk_items ~n =
   let i x = Program.I x in
   let m = Insn.mem in
@@ -658,7 +581,7 @@ let bound_walk_items ~n =
     i Insn.Halt;
   ]
 
-let lazy_rip_fault_precision () =
+let trace_fault_precision () =
   List.iter
     (fun (name, items) ->
       let interp = run_case ~hooks:true (items ()) in
@@ -677,11 +600,10 @@ let lazy_rip_fault_precision () =
     ]
 
 (* Random IR programs under the baseline and every isolation technique:
-   with formation forced hot and the optimizer on (its default), the
-   outcome must be byte-identical to the hooked interpreter loop. This is
-   the optimizer's end-to-end invisibility property over the techniques'
-   full uop vocabulary (SFI masks, MPX checks, pkey switches, AES-NI
-   rounds, ...). *)
+   with formation forced hot, the outcome must be byte-identical to the
+   hooked interpreter loop. This is the trace tier's end-to-end
+   invisibility property over the techniques' full uop vocabulary (SFI
+   masks, MPX checks, pkey switches, AES-NI rounds, ...). *)
 let snapshot_hot ?cfg r =
   let mdl = Test_differential.build_program r in
   let lowered = Ir.Lower.lower mdl in
@@ -704,7 +626,7 @@ let snapshot_hot ?cfg r =
 
 let all_configs = None :: List.map (fun c -> Some c) Test_differential.techniques
 
-let prop_optimizer_invisible_under_techniques =
+let prop_hot_traces_invisible_under_techniques =
   QCheck.Test.make ~name:"optimized hot traces = hooked interpreter (all techniques)"
     ~count:15 Test_differential.arb_recipe (fun r ->
       List.for_all
@@ -836,6 +758,103 @@ let eager_link_drop () =
     Alcotest.(check bool) "stale block no longer peekable" true
       (Ublock.peek cpu.Cpu.tcache 2 = None)
 
+(* --- trace tier on real workloads: golden cycles ------------------------- *)
+
+(* mcf, hmmer and povray at 300 iterations under the baseline, MPX-rw and
+   SFI-rw: enough iterations that superblocks form and carry most of the
+   run, with no site map installed (the figures' configuration). Each
+   run's insns, then cycles and per-class CPI totals with the trace tier
+   on and with it off, are pinned to these values. The two tiers differ
+   only by the no-op issue the trace tier charges padded segments (see
+   [Trace.seg]); everything else must match to the last bit. *)
+let golden_runs =
+  [
+    ( "mcf", "baseline", 455465,
+      (0x1.a8da1p+19, [| 0x1.b5013p+18; 0x1.1cp+5; 0x0p+0; 0x1.1528p+15; 0x1.3b6dep+18; 0x1.a552p+15;
+         0x1.337ep+13; 0x1.44p+8 |]),
+      (0x1.a8bcfp+19, [| 0x1.b4d73p+18; 0x1.1cp+5; 0x0p+0; 0x1.1528p+15; 0x1.3b5dap+18; 0x1.a552p+15;
+         0x1.337ep+13; 0x1.44p+8 |]) );
+    ( "mcf", "MPX-rw", 745881,
+      (0x1.c44b9p+19, [| 0x1.bab99p+18; 0x1p+5; 0x0p+0; 0x1.1a7ap+15; 0x1.40e78p+18; 0x1.64bcp+15;
+         0x1.ace4p+12; 0x1.b29ep+15 |]),
+      (0x1.c42e7p+19, [| 0x1.bab99p+18; 0x1p+5; 0x0p+0; 0x1.1a7ap+15; 0x1.40ad4p+18; 0x1.64bcp+15;
+         0x1.ace4p+12; 0x1.b29ep+15 |]) );
+    ( "mcf", "SFI-rw", 891089,
+      (0x1.e3b9e8p+19, [| 0x1.1ab638p+19; 0x1.26p+5; 0x0p+0; 0x1.1cc8p+15; 0x1.44f18p+18; 0x1.23b2p+15;
+         0x1.2b1cp+12; 0x1.44p+8 |]),
+      (0x1.e3b1c8p+19, [| 0x1.1acb38p+19; 0x1.26p+5; 0x0p+0; 0x1.1cc8p+15; 0x1.44b74p+18; 0x1.23b2p+15;
+         0x1.2b1cp+12; 0x1.44p+8 |]) );
+    ( "hmmer", "baseline", 262265,
+      (0x1.6e038p+17, [| 0x1.5067cp+16; 0x1.39p+7; 0x0p+0; 0x1.8516p+15; 0x1.554p+10; 0x1.0784p+14;
+         0x1.fff7p+14; 0x1.44p+8 |]),
+      (0x1.6d8fp+17, [| 0x1.4f7ecp+16; 0x1.39p+7; 0x0p+0; 0x1.8516p+15; 0x1.554p+10; 0x1.0784p+14;
+         0x1.fff7p+14; 0x1.44p+8 |]) );
+    ( "hmmer", "MPX-rw", 588081,
+      (0x1.961c4p+17, [| 0x1.a9174p+16; 0x1.16p+7; 0x0p+0; 0x1.88dep+15; 0x1.55cp+10; 0x1.b0a8p+13;
+         0x1.a375p+14; 0x1.9dep+12 |]),
+      (0x1.961c4p+17, [| 0x1.a9174p+16; 0x1.16p+7; 0x0p+0; 0x1.88dep+15; 0x1.55cp+10; 0x1.b0a8p+13;
+         0x1.a375p+14; 0x1.9dep+12 |]) );
+    ( "hmmer", "SFI-rw", 750989,
+      (0x1.24043p+18, [| 0x1.c8542p+17; 0x1.518p+7; 0x0p+0; 0x1.8fccp+15; 0x1.538p+10; 0x1.ep+12;
+         0x1.247cp+12; 0x1.44p+8 |]),
+      (0x1.24043p+18, [| 0x1.c8542p+17; 0x1.518p+7; 0x0p+0; 0x1.8fccp+15; 0x1.538p+10; 0x1.ep+12;
+         0x1.247cp+12; 0x1.44p+8 |]) );
+    ( "povray", "baseline", 546680,
+      (0x1.8ad5dp+18, [| 0x1.2d939p+18; 0x0p+0; 0x0p+0; 0x1.23ep+13; 0x1.04p+8; 0x1.2e864p+16;
+         0x1.e7acp+12; 0x1.44p+9 |]),
+      (0x1.8ad5dp+18, [| 0x1.2d939p+18; 0x0p+0; 0x0p+0; 0x1.23ep+13; 0x1.04p+8; 0x1.2e864p+16;
+         0x1.e7acp+12; 0x1.44p+9 |]) );
+    ( "povray", "MPX-rw", 781302,
+      (0x1.a4236p+18, [| 0x1.33bdap+18; 0x0p+0; 0x0p+0; 0x1.3ab8p+13; 0x1.02p+8; 0x1.2d52p+16;
+         0x1.8934p+12; 0x1.4d63p+14 |]),
+      (0x1.a4236p+18, [| 0x1.33bdap+18; 0x0p+0; 0x0p+0; 0x1.3ab8p+13; 0x1.02p+8; 0x1.2d52p+16;
+         0x1.8934p+12; 0x1.4d63p+14 |]) );
+    ( "povray", "SFI-rw", 898613,
+      (0x1.d251fp+18, [| 0x1.793ap+18; 0x0p+0; 0x0p+0; 0x1.3d98p+13; 0x1.09p+8; 0x1.29cdp+16;
+         0x1.e9d8p+11; 0x1.44p+9 |]),
+      (0x1.d2183p+18, [| 0x1.79004p+18; 0x0p+0; 0x0p+0; 0x1.3d98p+13; 0x1.09p+8; 0x1.29cdp+16;
+         0x1.e9d8p+11; 0x1.44p+9 |]) );
+  ]
+
+let golden_config = function
+  | "baseline" -> None
+  | "MPX-rw" -> Some (Framework.config ~address_kind:Instr.Reads_and_writes Technique.Mpx)
+  | "SFI-rw" -> Some (Framework.config ~address_kind:Instr.Reads_and_writes Technique.Sfi)
+  | c -> invalid_arg c
+
+let trace_tier_golden () =
+  List.iter
+    (fun (bench, cname, insns, traced_golden, block_golden) ->
+      let name = bench ^ "/" ^ cname in
+      let run ~traces =
+        let lowered =
+          Workloads.Synth.lowered ~iterations:300 (Workloads.Spec2006.find bench)
+        in
+        let p =
+          match golden_config cname with
+          | None -> Framework.prepare_baseline lowered
+          | Some c -> Framework.prepare c lowered
+        in
+        let cpu = p.Framework.cpu in
+        Cpu.set_traces_enabled cpu traces;
+        (match Framework.run p with
+        | Cpu.Halted -> ()
+        | Cpu.Out_of_fuel -> Alcotest.fail (name ^ ": out of fuel"));
+        cpu
+      in
+      let traced = run ~traces:true in
+      Alcotest.(check bool) (name ^ ": superblocks carried part of the run") true
+        (traced.Cpu.traces.Trace.covered_insns > 0);
+      List.iter
+        (fun (tier, cpu, (cycles, cpi)) ->
+          let what = Printf.sprintf "%s (%s)" name tier in
+          Alcotest.(check int) (what ^ ": insns") insns cpu.Cpu.counters.Cpu.insns;
+          Alcotest.(check (float 0.0)) (what ^ ": cycles") cycles (Cpu.cycles cpu);
+          Alcotest.(check (array (float 0.0))) (what ^ ": CPI totals") cpi
+            (Pipeline.cpi_totals cpu.Cpu.pipe))
+        [ ("trace tier", traced, traced_golden); ("block tier", run ~traces:false, block_golden) ])
+    golden_runs
+
 (* --- translation-cache invalidation ------------------------------------ *)
 
 let translation_invalidation () =
@@ -867,17 +886,15 @@ let suite =
       three_tier_differential;
     Alcotest.test_case "trace tier under Machine quanta 1/7/1000" `Quick
       machine_trace_tier_differential;
-    Alcotest.test_case "every Insn constructor: unoptimized traces = block tier" `Quick
-      three_tier_fusion_off_differential;
-    Alcotest.test_case "inline slot kill switch is invisible" `Quick
-      inline_slot_kill_is_invisible;
-    Alcotest.test_case "lazy-rip fault precision mid-trace" `Quick lazy_rip_fault_precision;
-    QCheck_alcotest.to_alcotest prop_optimizer_invisible_under_techniques;
+    Alcotest.test_case "fault precision mid-trace" `Quick trace_fault_precision;
+    QCheck_alcotest.to_alcotest prop_hot_traces_invisible_under_techniques;
     Alcotest.test_case "superblock side exit: biased jcc loop" `Quick trace_side_exit_jcc;
     Alcotest.test_case "superblock side exit: ret mispredict" `Quick trace_side_exit_indirect;
     Alcotest.test_case "SMC flush tears down active superblock" `Quick
       smc_invalidates_active_superblock;
     Alcotest.test_case "flush severs chain links eagerly" `Quick eager_link_drop;
+    Alcotest.test_case "trace tier golden: mcf/hmmer/povray x base/MPX/SFI" `Quick
+      trace_tier_golden;
     Alcotest.test_case "translation cache invalidation" `Quick translation_invalidation;
     Alcotest.test_case "store-buffer collision evicts" `Quick store_buffer_eviction;
     Alcotest.test_case "forwarding only from resident line" `Quick

@@ -193,133 +193,6 @@ let test_fixture_execution () =
   Alcotest.(check int) "r8 agrees" r8_0 r8_1;
   Alcotest.(check bool) "fewer executed instructions" true (insns1 < insns0)
 
-(* --- trace-tier hoist facts (dynamic check motion) --------------------- *)
-
-(* A hot counted loop through a loop-invariant pointer: the MPX site in
-   the body ([lea scratch; bndcu]) is exactly what Gate_opt.hoist_facts
-   vouches for and what the trace tier hoists to a superblock prologue. *)
-let hot_loop_asm =
-  "main:\n\
-  \  mov rdx, [0x2000]\n\
-  \  mov rcx, 40\n\
-   loop:\n\
-  \  mov rax, [rdx+8]\n\
-  \  sub rcx, 1\n\
-  \  cmp rcx, 0\n\
-  \  jne loop\n\
-  \  hlt\n"
-
-(* Same loop entered twice; the pointer is rewritten to a safe-region
-   address between passes (outside the inner loop, so the site is still
-   loop-invariant and the facts still apply). Pass two must fault. *)
-let two_pass_loop_asm =
-  "main:\n\
-  \  mov r9, 0\n\
-  \  mov rdx, [0x2000]\n\
-   pass:\n\
-  \  mov rcx, 40\n\
-   loop:\n\
-  \  mov rax, [rdx+8]\n\
-  \  sub rcx, 1\n\
-  \  cmp rcx, 0\n\
-  \  jne loop\n\
-  \  mov rdx, 0x4000000000100\n\
-  \  add r9, 1\n\
-  \  cmp r9, 2\n\
-  \  jne pass\n\
-  \  hlt\n"
-
-let mpx_items src =
-  Instr.address_based_sites ~check:Instr_mpx.check ~kind:Instr.Reads_and_writes
-    ~technique:"MPX" (mitems_of_asm src)
-
-(* Run MPX-instrumented items with the trace tier forced hot (threshold 2
-   so the loop block's second entry forms the superblock, min samples 1 so
-   one recorded edge suffices). *)
-let run_traced_mpx ?facts items =
-  let cpu = Cpu.create () in
-  Mmu.map_range cpu.Cpu.mmu ~va:0x1000 ~len:0x10000 ~writable:true;
-  Mmu.poke64 cpu.Cpu.mmu ~va:0x2000 0x3000;
-  Mmu.poke64 cpu.Cpu.mmu ~va:0x3008 0x2222;
-  Instr_mpx.setup cpu;
-  Cpu.load_program cpu (Program.assemble items);
-  Trace.set_hot_threshold cpu.Cpu.traces 2;
-  Trace.set_min_samples cpu.Cpu.traces 1;
-  (match facts with Some f -> Cpu.install_trace_hoist_facts cpu f | None -> ());
-  let outcome =
-    match Cpu.run cpu with
-    | st -> Ok st
-    | exception Fault.Fault f -> Error f
-  in
-  (cpu, outcome)
-
-let test_hoist_facts_derivation () =
-  let items, sm = mpx_items hot_loop_asm in
-  let facts = Gate_opt.hoist_facts ~policy:Gate_analysis.Mpx_policy items sm in
-  let prog = Program.assemble items in
-  Alcotest.(check int) "facts cover the program" (Program.length prog) (Array.length facts);
-  let marked = ref [] in
-  Array.iteri (fun i b -> if b then marked := i :: !marked) facts;
-  (match List.rev !marked with
-  | [ i; j ] ->
-    Alcotest.(check int) "site is contiguous" (i + 1) j;
-    (match ((Program.code prog).(i), (Program.code prog).(j)) with
-    | Insn.Lea _, Insn.Bndcu _ -> ()
-    | _ -> Alcotest.fail "marked rips are not the lea/bndcu site")
-  | l -> Alcotest.fail (Printf.sprintf "expected exactly the loop site marked, got %d rips"
-                          (List.length l)));
-  (* Non-MPX policies have no fact derivation: all-false. *)
-  let sfi_items, sfi_sm =
-    Instr.address_based_sites ~check:Instr_sfi.check ~kind:Instr.Reads_and_writes
-      ~technique:"SFI" (mitems_of_asm hot_loop_asm)
-  in
-  let sfi_facts = Gate_opt.hoist_facts ~policy:Gate_analysis.Sfi_policy sfi_items sfi_sm in
-  Alcotest.(check bool) "SFI facts all false" true
-    (not (Array.exists (fun b -> b) sfi_facts))
-
-let test_trace_hoist_execution () =
-  let items, sm = mpx_items hot_loop_asm in
-  let facts = Gate_opt.hoist_facts ~policy:Gate_analysis.Mpx_policy items sm in
-  let cpu0, st0 = run_traced_mpx items in
-  let cpu1, st1 = run_traced_mpx ~facts items in
-  Alcotest.(check bool) "both halt" true (st0 = Ok Cpu.Halted && st1 = Ok Cpu.Halted);
-  Alcotest.(check int) "rax agrees" (Cpu.get_gpr cpu0 Reg.rax) (Cpu.get_gpr cpu1 Reg.rax);
-  Alcotest.(check int) "rax is the loaded value" 0x2222 (Cpu.get_gpr cpu1 Reg.rax);
-  Alcotest.(check int) "rcx agrees" (Cpu.get_gpr cpu0 Reg.rcx) (Cpu.get_gpr cpu1 Reg.rcx);
-  let tier = cpu1.Cpu.traces in
-  Alcotest.(check bool) "superblock formed" true (tier.Trace.formed_count >= 1);
-  Alcotest.(check bool) "checks hoisted into prologue" true (tier.Trace.hoisted_checks > 0);
-  Alcotest.(check bool) "a live trace reports its prologue" true
-    (List.exists (fun (s : Trace.stat) -> s.Trace.t_hoisted > 0) (Trace.stats tier));
-  let c0 = cpu0.Cpu.counters and c1 = cpu1.Cpu.counters in
-  Alcotest.(check bool) "fewer retired instructions" true (c1.Cpu.insns < c0.Cpu.insns);
-  Alcotest.(check bool) "fewer bound checks" true (c1.Cpu.bnd_checks < c0.Cpu.bnd_checks);
-  Alcotest.(check bool) "hoisted run still checks at entries" true (c1.Cpu.bnd_checks > 0)
-
-let test_trace_hoist_violation_faults () =
-  let items, sm = mpx_items two_pass_loop_asm in
-  let facts = Gate_opt.hoist_facts ~policy:Gate_analysis.Mpx_policy items sm in
-  Alcotest.(check bool) "facts derived for two-pass loop" true
-    (Array.exists (fun b -> b) facts);
-  let fault_rip ?facts () =
-    match run_traced_mpx ?facts items with
-    | _, Ok _ -> Alcotest.fail "safe-region pointer did not fault"
-    | cpu, Error (Fault.Bound_violation { value; _ }) ->
-      Alcotest.(check bool) "faulting value is the safe-region address" true
-        (value >= Layout.sensitive_base);
-      Alcotest.(check int) "one fault delivered" 1 cpu.Cpu.counters.Cpu.faults;
-      Alcotest.(check bool) "first pass completed before faulting" true
-        (Cpu.get_gpr cpu Reg.r9 = 1 && Cpu.get_gpr cpu Reg.rax = 0x2222);
-      (cpu.Cpu.rip, cpu.Cpu.traces.Trace.formed_count)
-    | _, Error f -> Alcotest.fail ("unexpected fault kind: " ^ Fault.to_string f)
-  in
-  let rip0, _ = fault_rip () in
-  let rip1, formed = fault_rip ~facts () in
-  (* With facts the check fires in the superblock prologue, yet the
-     architectural fault point is the same bndcu instruction. *)
-  Alcotest.(check int) "fault rip agrees with unhoisted run" rip0 rip1;
-  Alcotest.(check bool) "fault was raised from a formed trace" true (formed >= 1)
-
 (* --- gate coalescing (shadow-stack workload) --------------------------- *)
 
 let test_shadow_stack_coalescing () =
@@ -492,11 +365,6 @@ let suite =
     Alcotest.test_case "fixture stats: ISBoxing" `Quick (check_fixture_stats Technique.Isboxing);
     Alcotest.test_case "sitemap rewritten to survivors" `Quick test_sitemap_survivors;
     Alcotest.test_case "fixture execution agrees" `Quick test_fixture_execution;
-    Alcotest.test_case "hoist facts: loop site derived, SFI all-false" `Quick
-      test_hoist_facts_derivation;
-    Alcotest.test_case "trace hoist: fewer checks, same state" `Quick test_trace_hoist_execution;
-    Alcotest.test_case "trace hoist: violation still faults at entry" `Quick
-      test_trace_hoist_violation_faults;
     Alcotest.test_case "shadow-stack gates coalesce" `Quick test_shadow_stack_coalescing;
     Alcotest.test_case "interval arithmetic" `Quick test_interval_arithmetic;
     Alcotest.test_case "cost model: straight-line exact" `Quick test_cost_model_straight_line;

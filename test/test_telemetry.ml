@@ -121,6 +121,71 @@ let test_json_roundtrip () =
   Alcotest.(check bool) "trailing junk rejected" true
     (try ignore (J.of_string "1 2"); false with J.Parse_error _ -> true)
 
+(* Mutation fuzz: valid documents over the whole data model, broken by
+   byte flips, truncations and splices of another document's bytes. The
+   parser may accept or reject each input, but the only exception it may
+   raise is [Parse_error]. *)
+let gen_json =
+  QCheck.Gen.(
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              return J.Null;
+              map (fun b -> J.Bool b) bool;
+              map (fun i -> J.Int i) int;
+              map (fun f -> J.Float f) float;
+              map (fun s -> J.String s) (string_size ~gen:char (int_bound 8));
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map (fun l -> J.List l) (list_size (int_bound 4) (self (depth - 1))));
+              ( 1,
+                map
+                  (fun l -> J.Obj l)
+                  (list_size (int_bound 4)
+                     (pair (string_size ~gen:printable (int_bound 5)) (self (depth - 1)))) );
+            ])
+      3)
+
+let mutate doc donor (kind, a, b) =
+  let n = String.length doc in
+  match kind with
+  | 0 when n > 0 ->
+    let bytes = Bytes.of_string doc in
+    Bytes.set bytes (a mod n) (Char.chr (b land 255));
+    Bytes.to_string bytes
+  | 1 -> String.sub doc 0 (a mod (n + 1))
+  | _ ->
+    let pos = a mod (n + 1) in
+    let start = b mod (String.length donor + 1) in
+    let len = min 16 (String.length donor - start) in
+    String.sub doc 0 pos ^ String.sub donor start len ^ String.sub doc pos (n - pos)
+
+let gen_mutated_json =
+  QCheck.Gen.(
+    gen_json >>= fun doc ->
+    gen_json >>= fun donor ->
+    bool >>= fun pretty ->
+    list_size (int_range 1 4) (triple (int_bound 2) nat nat) >|= fun ops ->
+    List.fold_left
+      (fun s op -> mutate s (J.to_string donor) op)
+      (J.to_string ~pretty doc) ops)
+
+let prop_json_mutation_fuzz =
+  QCheck.Test.make ~name:"json: mutated documents raise only Parse_error" ~count:2000
+    (QCheck.make ~print:String.escaped gen_mutated_json)
+    (fun s ->
+      match J.of_string s with
+      | _ -> true
+      | exception J.Parse_error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* --- typed events and span matching --- *)
 
 let test_gate_events_from_wrpkru () =
@@ -321,6 +386,7 @@ let suite =
     Alcotest.test_case "histogram zero bucket" `Quick test_histogram_zero_bucket;
     Alcotest.test_case "metrics json export" `Quick test_metrics_json;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_mutation_fuzz;
     Alcotest.test_case "wrpkru gate events" `Quick test_gate_events_from_wrpkru;
     Alcotest.test_case "event hook removal" `Quick test_event_hook_removal;
     Alcotest.test_case "nested spans" `Quick test_spans_nested;
