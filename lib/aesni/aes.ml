@@ -57,7 +57,8 @@ let xor_block a b =
   done;
   out
 
-(* GF(2^8) multiplication with the AES polynomial x^8+x^4+x^3+x+1. *)
+(* GF(2^8) multiplication with the AES polynomial x^8+x^4+x^3+x+1. Only
+   used to build the tables below. *)
 let gmul a b =
   let rec go a b acc =
     if b = 0 then acc
@@ -68,109 +69,140 @@ let gmul a b =
   in
   go a b 0
 
-let map_bytes f b =
-  let out = Bytes.create 16 in
-  for i = 0 to 15 do
-    Bytes.set_uint8 out i (f (Bytes.get_uint8 b i))
-  done;
+(* T-tables. A state column is handled as one little-endian word: row [r]
+   in bits [8r .. 8r+7]. Entry [x] of a table is the output column that a
+   byte [x] in row 0 contributes: [sub x] multiplied by the first column of
+   the (Inv)MixColumns matrix. Both matrices are circulant, so a byte in
+   row [r] contributes the same word rotated left by [8r] bits. *)
+let column_table ~sub (m0, m1, m2, m3) =
+  Array.init 256 (fun x ->
+      let v = sub x in
+      gmul m0 v lor (gmul m1 v lsl 8) lor (gmul m2 v lsl 16) lor (gmul m3 v lsl 24))
+
+let te = column_table ~sub:(fun x -> sbox.(x)) (2, 1, 1, 3)
+let td = column_table ~sub:(fun x -> inv_sbox.(x)) (14, 9, 13, 11)
+let timc = column_table ~sub:(fun x -> x) (14, 9, 13, 11)
+
+let[@inline] byte b i = Char.code (Bytes.unsafe_get b i)
+let[@inline] rotl w n = ((w lsl n) lor (w lsr (32 - n))) land 0xffffffff
+
+let[@inline] word b o =
+  byte b o lor (byte b (o + 1) lsl 8) lor (byte b (o + 2) lsl 16) lor (byte b (o + 3) lsl 24)
+
+let[@inline] set_word b o w =
+  Bytes.unsafe_set b o (Char.unsafe_chr (w land 0xff));
+  Bytes.unsafe_set b (o + 1) (Char.unsafe_chr ((w lsr 8) land 0xff));
+  Bytes.unsafe_set b (o + 2) (Char.unsafe_chr ((w lsr 16) land 0xff));
+  Bytes.unsafe_set b (o + 3) (Char.unsafe_chr ((w lsr 24) land 0xff))
+
+let[@inline] set_block b o w0 w1 w2 w3 =
+  set_word b o w0;
+  set_word b (o + 4) w1;
+  set_word b (o + 8) w2;
+  set_word b (o + 12) w3
+
+(* One output column of a full round from the input bytes at [i0..i3]
+   (rows 0..3, already picked through (Inv)ShiftRows). *)
+let[@inline] tcol tbl b i0 i1 i2 i3 =
+  Array.unsafe_get tbl (byte b i0)
+  lxor rotl (Array.unsafe_get tbl (byte b i1)) 8
+  lxor rotl (Array.unsafe_get tbl (byte b i2)) 16
+  lxor rotl (Array.unsafe_get tbl (byte b i3)) 24
+
+(* The same for a last round: (Inv)SubBytes only, no MixColumns. *)
+let[@inline] scol sb b i0 i1 i2 i3 =
+  Array.unsafe_get sb (byte b i0)
+  lor (Array.unsafe_get sb (byte b i1) lsl 8)
+  lor (Array.unsafe_get sb (byte b i2) lsl 16)
+  lor (Array.unsafe_get sb (byte b i3) lsl 24)
+
+(* The kernels below use unchecked accesses; this is their only bounds
+   check. *)
+let check_slot name b o =
+  if o < 0 || o > Bytes.length b - 16 then
+    invalid_arg (Printf.sprintf "Aes.%s: no 16-byte block at offset %d" name o)
+
+(* Each kernel reads all sixteen state and source bytes before its first
+   write, so [dst] and [src] may be the same block. ShiftRows makes row [r]
+   of output column [c] come from input column [c + r mod 4]; InvShiftRows
+   from column [c - r mod 4]. *)
+let aesenc_into dst d src s =
+  check_slot "aesenc_into" dst d;
+  check_slot "aesenc_into" src s;
+  let w0 = tcol te dst d (d + 5) (d + 10) (d + 15) lxor word src s in
+  let w1 = tcol te dst (d + 4) (d + 9) (d + 14) (d + 3) lxor word src (s + 4) in
+  let w2 = tcol te dst (d + 8) (d + 13) (d + 2) (d + 7) lxor word src (s + 8) in
+  let w3 = tcol te dst (d + 12) (d + 1) (d + 6) (d + 11) lxor word src (s + 12) in
+  set_block dst d w0 w1 w2 w3
+
+let aesenclast_into dst d src s =
+  check_slot "aesenclast_into" dst d;
+  check_slot "aesenclast_into" src s;
+  let w0 = scol sbox dst d (d + 5) (d + 10) (d + 15) lxor word src s in
+  let w1 = scol sbox dst (d + 4) (d + 9) (d + 14) (d + 3) lxor word src (s + 4) in
+  let w2 = scol sbox dst (d + 8) (d + 13) (d + 2) (d + 7) lxor word src (s + 8) in
+  let w3 = scol sbox dst (d + 12) (d + 1) (d + 6) (d + 11) lxor word src (s + 12) in
+  set_block dst d w0 w1 w2 w3
+
+let aesdec_into dst d src s =
+  check_slot "aesdec_into" dst d;
+  check_slot "aesdec_into" src s;
+  let w0 = tcol td dst d (d + 13) (d + 10) (d + 7) lxor word src s in
+  let w1 = tcol td dst (d + 4) (d + 1) (d + 14) (d + 11) lxor word src (s + 4) in
+  let w2 = tcol td dst (d + 8) (d + 5) (d + 2) (d + 15) lxor word src (s + 8) in
+  let w3 = tcol td dst (d + 12) (d + 9) (d + 6) (d + 3) lxor word src (s + 12) in
+  set_block dst d w0 w1 w2 w3
+
+let aesdeclast_into dst d src s =
+  check_slot "aesdeclast_into" dst d;
+  check_slot "aesdeclast_into" src s;
+  let w0 = scol inv_sbox dst d (d + 13) (d + 10) (d + 7) lxor word src s in
+  let w1 = scol inv_sbox dst (d + 4) (d + 1) (d + 14) (d + 11) lxor word src (s + 4) in
+  let w2 = scol inv_sbox dst (d + 8) (d + 5) (d + 2) (d + 15) lxor word src (s + 8) in
+  let w3 = scol inv_sbox dst (d + 12) (d + 9) (d + 6) (d + 3) lxor word src (s + 12) in
+  set_block dst d w0 w1 w2 w3
+
+let aesimc_into dst d src s =
+  check_slot "aesimc_into" dst d;
+  check_slot "aesimc_into" src s;
+  let w0 = tcol timc src s (s + 1) (s + 2) (s + 3) in
+  let w1 = tcol timc src (s + 4) (s + 5) (s + 6) (s + 7) in
+  let w2 = tcol timc src (s + 8) (s + 9) (s + 10) (s + 11) in
+  let w3 = tcol timc src (s + 12) (s + 13) (s + 14) (s + 15) in
+  set_block dst d w0 w1 w2 w3
+
+(* SubWord of source dwords 1 and 3, then RotWord (a rotate right by 8 on
+   the little-endian dword) xor rcon. *)
+let aeskeygenassist_into dst d src s rcon =
+  check_slot "aeskeygenassist_into" dst d;
+  check_slot "aeskeygenassist_into" src s;
+  let x1 = scol sbox src (s + 4) (s + 5) (s + 6) (s + 7) in
+  let x3 = scol sbox src (s + 12) (s + 13) (s + 14) (s + 15) in
+  set_block dst d x1 (rotl x1 24 lxor rcon) x3 (rotl x3 24 lxor rcon)
+
+(* The block API: check, copy, apply the kernel to the copy. *)
+let on_copy into name state key =
+  check_block state name;
+  check_block key name;
+  let out = Bytes.copy state in
+  into out 0 key 0;
   out
 
-let sub_bytes b = map_bytes (fun v -> sbox.(v)) b
-let inv_sub_bytes b = map_bytes (fun v -> inv_sbox.(v)) b
-
-(* Row r is rotated left by r positions: out[r + 4c] = in[r + 4((c+r) mod 4)]. *)
-let shift_rows b =
-  let out = Bytes.create 16 in
-  for r = 0 to 3 do
-    for c = 0 to 3 do
-      Bytes.set_uint8 out (r + (4 * c)) (Bytes.get_uint8 b (r + (4 * ((c + r) mod 4))))
-    done
-  done;
-  out
-
-let inv_shift_rows b =
-  let out = Bytes.create 16 in
-  for r = 0 to 3 do
-    for c = 0 to 3 do
-      Bytes.set_uint8 out (r + (4 * ((c + r) mod 4))) (Bytes.get_uint8 b (r + (4 * c)))
-    done
-  done;
-  out
-
-let mix_columns_with m b =
-  let out = Bytes.create 16 in
-  for c = 0 to 3 do
-    let s i = Bytes.get_uint8 b ((4 * c) + i) in
-    for r = 0 to 3 do
-      let v =
-        gmul m.(r).(0) (s 0) lxor gmul m.(r).(1) (s 1)
-        lxor gmul m.(r).(2) (s 2) lxor gmul m.(r).(3) (s 3)
-      in
-      Bytes.set_uint8 out ((4 * c) + r) v
-    done
-  done;
-  out
-
-let mc_fwd = [| [| 2; 3; 1; 1 |]; [| 1; 2; 3; 1 |]; [| 1; 1; 2; 3 |]; [| 3; 1; 1; 2 |] |]
-let mc_inv = [| [| 14; 11; 13; 9 |]; [| 9; 14; 11; 13 |]; [| 13; 9; 14; 11 |]; [| 11; 13; 9; 14 |] |]
-
-let mix_columns b = mix_columns_with mc_fwd b
-let inv_mix_columns b = mix_columns_with mc_inv b
-
-let aesenc state key =
-  check_block state "aesenc";
-  check_block key "aesenc";
-  xor_block (mix_columns (sub_bytes (shift_rows state))) key
-
-let aesenclast state key =
-  check_block state "aesenclast";
-  check_block key "aesenclast";
-  xor_block (sub_bytes (shift_rows state)) key
-
-let aesdec state key =
-  check_block state "aesdec";
-  check_block key "aesdec";
-  xor_block (inv_mix_columns (inv_sub_bytes (inv_shift_rows state))) key
-
-let aesdeclast state key =
-  check_block state "aesdeclast";
-  check_block key "aesdeclast";
-  xor_block (inv_sub_bytes (inv_shift_rows state)) key
+let aesenc state key = on_copy aesenc_into "aesenc" state key
+let aesenclast state key = on_copy aesenclast_into "aesenclast" state key
+let aesdec state key = on_copy aesdec_into "aesdec" state key
+let aesdeclast state key = on_copy aesdeclast_into "aesdeclast" state key
 
 let aesimc key =
   check_block key "aesimc";
-  inv_mix_columns key
-
-let get_dword b i =
-  Bytes.get_uint8 b (4 * i)
-  lor (Bytes.get_uint8 b ((4 * i) + 1) lsl 8)
-  lor (Bytes.get_uint8 b ((4 * i) + 2) lsl 16)
-  lor (Bytes.get_uint8 b ((4 * i) + 3) lsl 24)
-
-let set_dword b i v =
-  Bytes.set_uint8 b (4 * i) (v land 0xff);
-  Bytes.set_uint8 b ((4 * i) + 1) ((v lsr 8) land 0xff);
-  Bytes.set_uint8 b ((4 * i) + 2) ((v lsr 16) land 0xff);
-  Bytes.set_uint8 b ((4 * i) + 3) ((v lsr 24) land 0xff)
-
-let sub_word w =
-  sbox.(w land 0xff)
-  lor (sbox.((w lsr 8) land 0xff) lsl 8)
-  lor (sbox.((w lsr 16) land 0xff) lsl 16)
-  lor (sbox.((w lsr 24) land 0xff) lsl 24)
-
-(* Byte rotation [a0;a1;a2;a3] -> [a1;a2;a3;a0]; on a little-endian dword
-   this is a 32-bit rotate right by 8. *)
-let rot_word w = ((w lsr 8) lor (w lsl 24)) land 0xffffffff
+  let out = Bytes.create 16 in
+  aesimc_into out 0 key 0;
+  out
 
 let aeskeygenassist src rcon =
   check_block src "aeskeygenassist";
-  let x1 = get_dword src 1 and x3 = get_dword src 3 in
   let out = Bytes.create 16 in
-  set_dword out 0 (sub_word x1);
-  set_dword out 1 (rot_word (sub_word x1) lxor rcon);
-  set_dword out 2 (sub_word x3);
-  set_dword out 3 (rot_word (sub_word x3) lxor rcon);
+  aeskeygenassist_into out 0 src 0 rcon;
   out
 
 let rcons = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
@@ -181,16 +213,13 @@ let expand_key key =
   for round = 1 to 10 do
     let prev = keys.(round - 1) in
     let assist = aeskeygenassist prev rcons.(round - 1) in
-    let t = get_dword assist 3 in
+    let t = word assist 12 in
     let k = Bytes.create 16 in
-    let k0 = get_dword prev 0 lxor t in
-    let k1 = get_dword prev 1 lxor k0 in
-    let k2 = get_dword prev 2 lxor k1 in
-    let k3 = get_dword prev 3 lxor k2 in
-    set_dword k 0 k0;
-    set_dword k 1 k1;
-    set_dword k 2 k2;
-    set_dword k 3 k3;
+    let k0 = word prev 0 lxor t in
+    let k1 = word prev 4 lxor k0 in
+    let k2 = word prev 8 lxor k1 in
+    let k3 = word prev 12 lxor k2 in
+    set_block k 0 k0 k1 k2 k3;
     keys.(round) <- k
   done;
   keys

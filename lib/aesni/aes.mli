@@ -11,8 +11,10 @@
       composed from those instruction primitives, verified against the
       FIPS-197 appendix C vectors in the test suite.
 
-    Blocks and round keys are 16-byte [Bytes.t] values. Functions never
-    mutate their inputs; each returns a fresh block. *)
+    Blocks and round keys are 16-byte [Bytes.t] values. The block
+    functions never mutate their inputs; each returns a fresh block. They
+    are thin wrappers over the in-place [_into] kernels at the end of this
+    interface, which the simulator runs directly on its register file. *)
 
 type block = Bytes.t
 (** Exactly 16 bytes. All functions raise [Invalid_argument] otherwise. *)
@@ -69,3 +71,32 @@ val encrypt_bytes : key:block array -> Bytes.t -> Bytes.t
 
 val decrypt_bytes : key:block array -> Bytes.t -> Bytes.t
 (** Inverse of {!encrypt_bytes}. *)
+
+(** {2 In-place kernels}
+
+    Table-driven and allocation-free. Each takes a destination and a
+    source as [(bytes, offset)] pairs naming 16-byte blocks, and reads all
+    sixteen destination and source bytes before writing, so the two
+    blocks may be the same. Raise [Invalid_argument] when either offset
+    does not leave 16 bytes. *)
+
+val aesenc_into : Bytes.t -> int -> Bytes.t -> int -> unit
+(** [aesenc_into dst d src s]: the block at [dst.[d]] becomes
+    [aesenc] of itself with the round key at [src.[s]]. *)
+
+val aesenclast_into : Bytes.t -> int -> Bytes.t -> int -> unit
+(** As {!aesenc_into}, for {!aesenclast}. *)
+
+val aesdec_into : Bytes.t -> int -> Bytes.t -> int -> unit
+(** As {!aesenc_into}, for {!aesdec}. *)
+
+val aesdeclast_into : Bytes.t -> int -> Bytes.t -> int -> unit
+(** As {!aesenc_into}, for {!aesdeclast}. *)
+
+val aesimc_into : Bytes.t -> int -> Bytes.t -> int -> unit
+(** [aesimc_into dst d src s] writes [aesimc] of the block at [src.[s]]
+    to [dst.[d]]. *)
+
+val aeskeygenassist_into : Bytes.t -> int -> Bytes.t -> int -> int -> unit
+(** [aeskeygenassist_into dst d src s rcon] writes [aeskeygenassist] of
+    the block at [src.[s]] to [dst.[d]]. *)

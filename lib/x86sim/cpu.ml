@@ -142,6 +142,14 @@ let xmm_xor_into t d s =
   xmm_set64 xmm db (Int64.logxor (xmm_get64 xmm db) (xmm_get64 xmm sb));
   xmm_set64 xmm (db + 8) (Int64.logxor (xmm_get64 xmm (db + 8)) (xmm_get64 xmm (sb + 8)))
 
+(* Copy 16 bytes between lanes of [t.xmm] (vextracti128/vinserti128 with
+   a 128-bit lane): both halves are read before either is written. *)
+let xmm_copy16 t ~dst ~src =
+  let xmm = t.xmm in
+  let lo = xmm_get64 xmm src and hi = xmm_get64 xmm (src + 8) in
+  xmm_set64 xmm dst lo;
+  xmm_set64 xmm (dst + 8) hi
+
 let pkru t = t.mmu.Mmu.pkru
 let set_pkru t v = t.mmu.Mmu.pkru <- v land 0xFFFFFFFF
 
@@ -469,12 +477,24 @@ let pop t =
   t.gpr.(Reg.rsp) <- t.gpr.(Reg.rsp) + 8;
   v
 
+(* The AES-NI arms run their [Aesni.Aes] kernel in place on [t.xmm]: a
+   register's low lane sits at [32 * reg], its high lane 16 bytes above. *)
 let aes_binop t f d s ~lat =
-  let result = f (get_xmm t d) (get_xmm t s) in
-  set_xmm t d result;
+  f t.xmm (32 * d) t.xmm (32 * s);
   t.counters.aes_ops <- t.counters.aes_ops + 1;
   Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm d) ~s2:(Reg.pipe_xmm s) ~s3:nr
        ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat ~port:Pipeline.p_aes
+
+let aeskeygen t d s imm =
+  Aesni.Aes.aeskeygenassist_into t.xmm (32 * d) t.xmm (32 * s) imm;
+  t.counters.aes_ops <- t.counters.aes_ops + 1
+
+(* Microcoded: occupies the AES unit for its full latency. *)
+let aesimc t d s =
+  Aesni.Aes.aesimc_into t.xmm (32 * d) t.xmm (32 * s);
+  t.counters.aes_ops <- t.counters.aes_ops + 1;
+  Pipeline.issue_microcoded t.pipe ~s1:(Reg.pipe_xmm s) ~d1:(Reg.pipe_xmm d) ~lat:8 ~busy:8
+    ~port:Pipeline.p_aes
 
 let exec t (insn : Insn.t) =
   let c = t.counters in
@@ -768,37 +788,32 @@ let exec t (insn : Insn.t) =
          ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
     t.rip <- next
   | Insn.Aesenc (d, s) ->
-    aes_binop t Aesni.Aes.aesenc d s ~lat:4;
+    aes_binop t Aesni.Aes.aesenc_into d s ~lat:4;
     t.rip <- next
   | Insn.Aesenclast (d, s) ->
-    aes_binop t Aesni.Aes.aesenclast d s ~lat:4;
+    aes_binop t Aesni.Aes.aesenclast_into d s ~lat:4;
     t.rip <- next
   | Insn.Aesdec (d, s) ->
-    aes_binop t Aesni.Aes.aesdec d s ~lat:4;
+    aes_binop t Aesni.Aes.aesdec_into d s ~lat:4;
     t.rip <- next
   | Insn.Aesdeclast (d, s) ->
-    aes_binop t Aesni.Aes.aesdeclast d s ~lat:4;
+    aes_binop t Aesni.Aes.aesdeclast_into d s ~lat:4;
     t.rip <- next
   | Insn.Aeskeygenassist (d, s, imm) ->
-    set_xmm t d (Aesni.Aes.aeskeygenassist (get_xmm t s) imm);
-    c.aes_ops <- c.aes_ops + 1;
+    aeskeygen t d s imm;
     Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm s) ~s2:nr ~s3:nr ~d1:(Reg.pipe_xmm d)
          ~d2:nr ~lat:12 ~port:Pipeline.p_aes;
     t.rip <- next
   | Insn.Aesimc (d, s) ->
-    set_xmm t d (Aesni.Aes.aesimc (get_xmm t s));
-    c.aes_ops <- c.aes_ops + 1;
-    (* Microcoded: occupies the AES unit for its full latency. *)
-    Pipeline.issue t.pipe ~s1:(Reg.pipe_xmm s) ~d1:(Reg.pipe_xmm d) ~lat:8.0 ~busy:8.0
-      ~port:Pipeline.p_aes ();
+    aesimc t d s;
     t.rip <- next
   | Insn.Vext_high (d, s) ->
-    set_xmm t d (get_ymm_high t s);
+    xmm_copy16 t ~dst:(32 * d) ~src:((32 * s) + 16);
     Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm s) ~s2:nr ~s3:nr ~d1:(Reg.pipe_xmm d)
          ~d2:nr ~lat:3 ~port:Pipeline.p_special;
     t.rip <- next
   | Insn.Vins_high (d, s) ->
-    set_ymm_high t d (get_xmm t s);
+    xmm_copy16 t ~dst:((32 * d) + 16) ~src:(32 * s);
     Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm s) ~s2:(Reg.pipe_xmm d) ~s3:nr
          ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat:3 ~port:Pipeline.p_special;
     t.rip <- next
@@ -1019,19 +1034,14 @@ let exec_uop t (u : Ublock.uop) =
     Pipeline.issue_packed_static t.pipe ~meta
   | Ublock.Uaes { f; d; s } -> aes_binop t f d s ~lat:4
   | Ublock.Uaeskeygen { d; s; imm; meta } ->
-    set_xmm t d (Aesni.Aes.aeskeygenassist (get_xmm t s) imm);
-    c.aes_ops <- c.aes_ops + 1;
+    aeskeygen t d s imm;
     Pipeline.issue_packed_static t.pipe ~meta
-  | Ublock.Uaesimc { d; s } ->
-    set_xmm t d (Aesni.Aes.aesimc (get_xmm t s));
-    c.aes_ops <- c.aes_ops + 1;
-    Pipeline.issue t.pipe ~s1:(Reg.pipe_xmm s) ~d1:(Reg.pipe_xmm d) ~lat:8.0 ~busy:8.0
-      ~port:Pipeline.p_aes ()
+  | Ublock.Uaesimc { d; s } -> aesimc t d s
   | Ublock.Uvext_high { d; s; meta } ->
-    set_xmm t d (get_ymm_high t s);
+    xmm_copy16 t ~dst:(32 * d) ~src:((32 * s) + 16);
     Pipeline.issue_packed_static t.pipe ~meta
   | Ublock.Uvins_high { d; s; meta } ->
-    set_ymm_high t d (get_xmm t s);
+    xmm_copy16 t ~dst:((32 * d) + 16) ~src:(32 * s);
     Pipeline.issue_packed_static t.pipe ~meta
 
 (* Follow a static chain edge out of [blk]: honor the cached successor

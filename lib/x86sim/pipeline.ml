@@ -342,6 +342,11 @@ let issue_packed_static t ~meta =
     ~serialize:false ~port ~dep:0.0 ~lat:(float_of_int (meta lsr meta_lat_shift))
     ~busy:(Array.unsafe_get recip_throughput port)
 
+let issue_microcoded t ~s1 ~d1 ~lat ~busy ~port =
+  Array.unsafe_set t.clk io_dep 0.0;
+  issue_core_f t ~s1 ~s2:(-1) ~s3:(-1) ~d1 ~d2:(-1) ~serialize:false ~port ~dep:0.0
+    ~lat:(float_of_int lat) ~busy:(float_of_int busy)
+
 let issue_t t ?(s1 = -1) ?(s2 = -1) ?(s3 = -1) ?(d1 = -1) ?(d2 = -1) ?(dep = 0.0) ?(lat = 1.0)
     ?busy ?(serialize = false) ~port () =
   let clk = t.clk in

@@ -87,6 +87,13 @@ val issue_fast :
     the labeled forms. Numerically identical to {!issue_t}: both delegate
     to one core. *)
 
+val issue_microcoded : t -> s1:int -> d1:int -> lat:int -> busy:int -> port:int -> unit
+(** {!issue} with one source, one destination and whole-cycle [lat] and
+    [busy], for microcoded instructions that hold their unit longer than
+    the port's default occupancy. Like {!issue_t} it ignores and clears a
+    pending [io.(io_dep)] floor. Every argument is labeled and mandatory,
+    so nothing is boxed per call. *)
+
 val pack : s1:int -> s2:int -> s3:int -> d1:int -> d2:int -> lat:int -> port:int -> int
 (** Pack one instruction's issue metadata (pipeline-register ids as in
     {!issue_fast}, port, and a static whole-cycle latency) into a single

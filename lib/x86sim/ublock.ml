@@ -27,7 +27,7 @@ type uop =
   | Umovq_xr of { x : int; r : int; meta : int }
   | Umovq_rx of { r : int; x : int; meta : int }
   | Uxmm_xor of { d : int; s : int; meta : int }
-  | Uaes of { f : Bytes.t -> Bytes.t -> Bytes.t; d : int; s : int }
+  | Uaes of { f : Bytes.t -> int -> Bytes.t -> int -> unit; d : int; s : int }
   | Uaeskeygen of { d : int; s : int; imm : int; meta : int }
   | Uaesimc of { d : int; s : int }
   | Uvext_high of { d : int; s : int; meta : int }
@@ -459,10 +459,10 @@ let uop_of (insn : Insn.t) : uop =
           Pipeline.pack ~s1:(Reg.pipe_xmm d) ~s2:(Reg.pipe_xmm s) ~s3:nr
             ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat:4 ~port:Pipeline.p_fp;
       }
-  | Insn.Aesenc (d, s) -> Uaes { f = Aesni.Aes.aesenc; d; s }
-  | Insn.Aesenclast (d, s) -> Uaes { f = Aesni.Aes.aesenclast; d; s }
-  | Insn.Aesdec (d, s) -> Uaes { f = Aesni.Aes.aesdec; d; s }
-  | Insn.Aesdeclast (d, s) -> Uaes { f = Aesni.Aes.aesdeclast; d; s }
+  | Insn.Aesenc (d, s) -> Uaes { f = Aesni.Aes.aesenc_into; d; s }
+  | Insn.Aesenclast (d, s) -> Uaes { f = Aesni.Aes.aesenclast_into; d; s }
+  | Insn.Aesdec (d, s) -> Uaes { f = Aesni.Aes.aesdec_into; d; s }
+  | Insn.Aesdeclast (d, s) -> Uaes { f = Aesni.Aes.aesdeclast_into; d; s }
   | Insn.Aeskeygenassist (d, s, imm) ->
     Uaeskeygen
       {

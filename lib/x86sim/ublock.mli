@@ -73,9 +73,10 @@ type uop =
   | Uxmm_xor of { d : int; s : int; meta : int }
       (** [Pxor] (lat 1, ALU port) and [Fp_arith] (lat 4, FP port) share
           xor-into semantics; the packed [meta] carries the difference. *)
-  | Uaes of { f : Bytes.t -> Bytes.t -> Bytes.t; d : int; s : int }
+  | Uaes of { f : Bytes.t -> int -> Bytes.t -> int -> unit; d : int; s : int }
       (** aesenc/aesenclast/aesdec/aesdeclast: the AES-NI binop resolved
-          to its implementation function (latency 4, AES port). *)
+          to its in-place [Aesni.Aes] kernel, applied to the register file
+          at [32 * d] and [32 * s] (latency 4, AES port). *)
   | Uaeskeygen of { d : int; s : int; imm : int; meta : int }
   | Uaesimc of { d : int; s : int }
   | Uvext_high of { d : int; s : int; meta : int }

@@ -112,8 +112,86 @@ let test_nist_sp800_38a () =
         (Aes.decrypt_block ~key (Aes.block_of_hex ct)))
     nist_ecb_pairs
 
+(* Golden vectors frozen from the bit-serial reference (one FIPS-197 step
+   at a time) that the table-driven kernels replaced: an oracle that does
+   not share their tables. Each is checked through the block API and
+   through the in-place kernel at unaligned offsets in larger buffers. *)
+let golden_path = "data/aesni_golden.txt"
+
+let golden_lines () =
+  In_channel.with_open_text golden_path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.map (String.split_on_char ' ')
+
+(* [src] at offset 5 of a 32-byte buffer, [dst] at offset 11 of another;
+   the bytes around each block must survive. *)
+let run_into f ~dst ~src =
+  let db = Bytes.make 32 '\xaa' and sb = Bytes.make 32 '\x55' in
+  Bytes.blit dst 0 db 11 16;
+  Bytes.blit src 0 sb 5 16;
+  f db 11 sb 5;
+  let around b o c =
+    Bytes.for_all (fun x -> x = c) (Bytes.sub b 0 o)
+    && Bytes.for_all (fun x -> x = c) (Bytes.sub b (o + 16) (16 - o))
+  in
+  Alcotest.(check bool) "bytes around the blocks untouched" true
+    (around db 11 '\xaa' && around sb 5 '\x55' && Bytes.equal (Bytes.sub sb 5 16) src);
+  Bytes.sub db 11 16
+
+let test_golden_vectors () =
+  let hex = Aes.block_of_hex in
+  let lines = golden_lines () in
+  let count op = List.length (List.filter (fun l -> List.hd l = op) lines) in
+  List.iter
+    (fun op -> Alcotest.(check int) (op ^ " vectors") 64 (count op))
+    [ "aesenc"; "aesenclast"; "aesdec"; "aesdeclast"; "aesimc" ];
+  Alcotest.(check int) "aeskeygenassist vectors" 80 (count "aeskeygenassist");
+  List.iter
+    (fun line ->
+      let what = String.concat " " line in
+      match line with
+      | [ op; a; b; out ] -> (
+        let a = hex a and out = hex out in
+        let binop f into =
+          let key = hex b in
+          Alcotest.check block (what ^ " (block API)") out (f a key);
+          Alcotest.check block (what ^ " (kernel)") out (run_into into ~dst:a ~src:key)
+        in
+        match op with
+        | "aesenc" -> binop Aes.aesenc Aes.aesenc_into
+        | "aesenclast" -> binop Aes.aesenclast Aes.aesenclast_into
+        | "aesdec" -> binop Aes.aesdec Aes.aesdec_into
+        | "aesdeclast" -> binop Aes.aesdeclast Aes.aesdeclast_into
+        | "aesimc" ->
+          Alcotest.check block (what ^ " (block API)") out (Aes.aesimc a);
+          Alcotest.check block (what ^ " (kernel)") out
+            (run_into Aes.aesimc_into ~dst:(Bytes.make 16 '\000') ~src:a)
+        | "aeskeygenassist" ->
+          let rcon = int_of_string ("0x" ^ b) in
+          Alcotest.check block (what ^ " (block API)") out (Aes.aeskeygenassist a rcon);
+          Alcotest.check block (what ^ " (kernel)") out
+            (run_into
+               (fun d dp s sp -> Aes.aeskeygenassist_into d dp s sp rcon)
+               ~dst:(Bytes.make 16 '\000') ~src:a)
+        | _ -> Alcotest.failf "%s: unknown op" what)
+      | _ -> Alcotest.failf "malformed golden line: %s" what)
+    lines
+
+let test_kernel_bounds () =
+  let b = Bytes.create 32 in
+  Alcotest.check_raises "offset past the end"
+    (Invalid_argument "Aes.aesenc_into: no 16-byte block at offset 17") (fun () ->
+      Aes.aesenc_into b 17 b 0);
+  Alcotest.check_raises "negative offset"
+    (Invalid_argument "Aes.aesimc_into: no 16-byte block at offset -1") (fun () ->
+      Aes.aesimc_into b 0 b (-1))
+
 let suite =
   [
+    Alcotest.test_case "golden vectors: block API and in-place kernels" `Quick
+      test_golden_vectors;
+    Alcotest.test_case "in-place kernels check offsets" `Quick test_kernel_bounds;
     Alcotest.test_case "fips C.1 encrypt" `Quick test_fips_encrypt;
     Alcotest.test_case "fips C.1 decrypt" `Quick test_fips_decrypt;
     Alcotest.test_case "fips B encrypt" `Quick test_appendix_b;

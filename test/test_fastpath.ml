@@ -538,6 +538,138 @@ let machine_trace_tier_differential () =
         exhaustive_cases)
     [ 1; 7; 1000 ]
 
+(* --- AES-NI in place on the register file -------------------------------- *)
+
+(* The AES-NI and 128-bit lane instructions run directly on [Cpu.xmm], so
+   with [d = s] one instruction reads and writes the same 16 bytes. Each
+   case runs one of them in a counted loop from a random vector file
+   through the hooked interpreter ([Cpu.exec]), the block tier and a
+   1-vCPU machine whose traces form, and compares the whole file, high
+   halves included, with the [Aesni.Aes] block API applied to a copy of the
+   same initial file once per iteration. *)
+let vec_iters = 6
+
+let vec_model (insn : Insn.t) file =
+  let lo r = Bytes.sub file (32 * r) 16 in
+  let set_lo r b = Bytes.blit b 0 file (32 * r) 16 in
+  let module A = Aesni.Aes in
+  match insn with
+  | Insn.Aesenc (d, s) -> set_lo d (A.aesenc (lo d) (lo s))
+  | Insn.Aesenclast (d, s) -> set_lo d (A.aesenclast (lo d) (lo s))
+  | Insn.Aesdec (d, s) -> set_lo d (A.aesdec (lo d) (lo s))
+  | Insn.Aesdeclast (d, s) -> set_lo d (A.aesdeclast (lo d) (lo s))
+  | Insn.Aeskeygenassist (d, s, imm) -> set_lo d (A.aeskeygenassist (lo s) imm)
+  | Insn.Aesimc (d, s) -> set_lo d (A.aesimc (lo s))
+  | Insn.Vext_high (d, s) -> set_lo d (Bytes.sub file ((32 * s) + 16) 16)
+  | Insn.Vins_high (d, s) -> Bytes.blit (lo s) 0 file ((32 * d) + 16) 16
+  | _ -> invalid_arg "vec_model"
+
+let vec_insns ~d ~s ~imm =
+  [
+    Insn.Aesenc (d, s); Insn.Aesenclast (d, s); Insn.Aesdec (d, s); Insn.Aesdeclast (d, s);
+    Insn.Aeskeygenassist (d, s, imm); Insn.Aesimc (d, s); Insn.Vext_high (d, s);
+    Insn.Vins_high (d, s);
+  ]
+
+let vec_loop insn =
+  let i x = Program.I x in
+  [
+    i (Insn.Mov_ri (Reg.rbx, vec_iters));
+    Program.Label "loop";
+    i insn;
+    i (Insn.Alu_ri (Insn.Sub, Reg.rbx, 1));
+    i (Insn.Cmp_ri (Reg.rbx, 0));
+    i (Insn.Jcc (Insn.Ne, Insn.target "loop"));
+    i Insn.Halt;
+  ]
+
+let run_vec_tier tier insn file =
+  let cpu, run =
+    match tier with
+    | `Interp ->
+      let cpu = Cpu.create () in
+      ignore (Cpu.add_step_hook cpu (fun _ _ -> ()));
+      (cpu, fun () -> Cpu.run cpu)
+    | `Block ->
+      let cpu = Cpu.create () in
+      Cpu.set_traces_enabled cpu false;
+      (cpu, fun () -> Cpu.run cpu)
+    | `Traced ->
+      let m = Machine.create () in
+      let cpu = Machine.cpu m 0 in
+      force_traces cpu;
+      (cpu, fun () -> Machine.run m)
+  in
+  Bytes.blit file 0 cpu.Cpu.xmm 0 (Bytes.length file);
+  Cpu.load_program cpu (Program.assemble (vec_loop insn));
+  (match run () with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "out of fuel");
+  if tier = `Traced && cpu.Cpu.traces.Trace.formed_count = 0 then
+    Alcotest.failf "%s: no trace formed" (Insn.to_string insn);
+  cpu.Cpu.xmm
+
+let gen_vec_case =
+  QCheck.Gen.(
+    let* file = string_size ~gen:char (return (32 * Reg.xmm_count)) in
+    let* d = int_bound (Reg.xmm_count - 1) in
+    let* off = int_range 1 (Reg.xmm_count - 1) in
+    let* imm = int_bound 255 in
+    return (file, d, (d + off) mod Reg.xmm_count, imm))
+
+let prop_vec_in_place =
+  QCheck.Test.make ~name:"AES-NI and lane moves in place, d = s and d <> s, all tiers"
+    ~count:25
+    (QCheck.make
+       ~print:(fun (_, d, s, imm) -> Printf.sprintf "d=%d s=%d imm=%d" d s imm)
+       gen_vec_case)
+    (fun (file, d, s, imm) ->
+      let file = Bytes.of_string file in
+      List.iter
+        (fun insn ->
+          let expected = Bytes.copy file in
+          for _ = 1 to vec_iters do
+            vec_model insn expected
+          done;
+          let written = match insn with Insn.Vins_high (d, _) -> Some d | _ -> None in
+          List.iter
+            (fun (tier, tname) ->
+              let got = run_vec_tier tier insn file in
+              let what = Printf.sprintf "%s (%s)" (Insn.to_string insn) tname in
+              for r = 0 to Reg.xmm_count - 1 do
+                if written <> Some r then
+                  Alcotest.(check bytes) (what ^ ": high half untouched")
+                    (Bytes.sub file ((32 * r) + 16) 16)
+                    (Bytes.sub got ((32 * r) + 16) 16)
+              done;
+              Alcotest.(check bytes) (what ^ ": vector file") expected got)
+            [ (`Interp, "interpreter"); (`Block, "block tier"); (`Traced, "traced machine") ])
+        (vec_insns ~d ~s:d ~imm @ vec_insns ~d ~s ~imm);
+      true)
+
+(* Host-independent allocation gate: with the AES rounds running in place,
+   crypt allocates a fraction of a minor word per simulated instruction,
+   where the per-round block API it replaced took about 5.7. Words per
+   instruction do not depend on host speed, so the bound holds on any
+   machine. *)
+let crypt_minor_words_per_insn () =
+  let lowered =
+    Workloads.Synth.lowered ~iterations:50 ~xmm_pool:Ir.Lower.crypt_xmm_pool
+      (Workloads.Spec2006.find "mcf")
+  in
+  let p =
+    Framework.prepare (Framework.config ~switch_policy:Instr.At_call_ret Technique.Crypt) lowered
+  in
+  let cpu = p.Framework.cpu in
+  let w0 = Gc.minor_words () in
+  (match Framework.run p with
+  | Cpu.Halted -> ()
+  | Cpu.Out_of_fuel -> Alcotest.fail "crypt run out of fuel");
+  let words = Gc.minor_words () -. w0 in
+  let c = cpu.Cpu.counters in
+  Alcotest.(check bool) "the run executed AES rounds" true (c.Cpu.aes_ops > 0);
+  let per_insn = words /. float_of_int c.Cpu.insns in
+  if per_insn >= 0.5 then
+    Alcotest.failf "crypt@call-ret mcf allocates %.3f minor words per insn (bound 0.5)" per_insn
+
 (* --- trace tier: fault precision ---------------------------------------- *)
 
 (* A load walking forward 8 bytes per iteration: [run_case_on] maps 8 KiB
@@ -627,7 +759,7 @@ let snapshot_hot ?cfg r =
 let all_configs = None :: List.map (fun c -> Some c) Test_differential.techniques
 
 let prop_hot_traces_invisible_under_techniques =
-  QCheck.Test.make ~name:"optimized hot traces = hooked interpreter (all techniques)"
+  QCheck.Test.make ~name:"hot traces = hooked interpreter (all techniques)"
     ~count:15 Test_differential.arb_recipe (fun r ->
       List.for_all
         (fun cfg -> same_outcome (snapshot ?cfg ~hooks:true r) (snapshot_hot ?cfg r))
@@ -887,6 +1019,9 @@ let suite =
     Alcotest.test_case "trace tier under Machine quanta 1/7/1000" `Quick
       machine_trace_tier_differential;
     Alcotest.test_case "fault precision mid-trace" `Quick trace_fault_precision;
+    QCheck_alcotest.to_alcotest prop_vec_in_place;
+    Alcotest.test_case "crypt@call-ret allocates < 0.5 minor words/insn" `Quick
+      crypt_minor_words_per_insn;
     QCheck_alcotest.to_alcotest prop_hot_traces_invisible_under_techniques;
     Alcotest.test_case "superblock side exit: biased jcc loop" `Quick trace_side_exit_jcc;
     Alcotest.test_case "superblock side exit: ret mispredict" `Quick trace_side_exit_indirect;
