@@ -285,10 +285,9 @@ type validation = {
 }
 
 let validate (model : t) (prof : Profiler.t) =
-  let rows = Profiler.rows prof in
-  let row_of id =
-    List.find_opt (fun (r : Profiler.row) -> r.Profiler.site.Sitemap.id = id) rows
-  in
+  (* Rows come in site-id order over dense ids: row index = site id. *)
+  let rows = Array.of_list (Profiler.rows prof) in
+  let row_of id = if id >= 0 && id < Array.length rows then Some rows.(id) else None in
   let sites =
     List.map
       (fun c ->

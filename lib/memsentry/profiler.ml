@@ -24,8 +24,9 @@ type t = {
   span_rec : Tracer.spans;
   synthetic : bool;
   technique : string;
-  mutable prev_class : (int * Sitemap.role) option;
-  mutable prev_cycles : float;
+  cls : int array;
+      (* per rip: site id * 4 + (0 open | 1 close | 2 check), -1 for app *)
+  mutable prev : int;  (* class of the previous fetch *)
   mutable step_hook : int option;
   mutable event_hook : int option;
 }
@@ -40,6 +41,9 @@ let injects_seq_gates = function
   | Technique.Sgx ->
     false
 
+let[@inline] class_of t rip =
+  if rip >= 0 && rip < Array.length t.cls then Array.unsafe_get t.cls rip else -1
+
 let attach (p : Framework.prepared) =
   let cpu = p.Framework.cpu in
   let sm = p.Framework.sitemap in
@@ -50,6 +54,17 @@ let attach (p : Framework.prepared) =
            { site; crossings = 0; checks = 0; cycles = 0.0; tlb_misses = 0; cache_misses = 0; faults = 0 })
          (Sitemap.sites sm))
   in
+  let cls =
+    Array.init (Program.length cpu.Cpu.program) (fun rip ->
+        match Sitemap.classify sm rip with
+        | Some (id, Sitemap.Gate_open) -> id * 4
+        | Some (id, Sitemap.Gate_close) -> (id * 4) + 1
+        | Some (id, (Sitemap.Check | Sitemap.Hoisted_check)) -> (id * 4) + 2
+        | None -> -1)
+  in
+  (* Per-site cycles come from the Pipeline's CPI rows, which the CPU
+     fills for every instruction once a site map is installed. *)
+  Fastprof.install p;
   let t =
     {
       prepared = p;
@@ -58,50 +73,44 @@ let attach (p : Framework.prepared) =
       span_rec = Tracer.record_spans cpu;
       synthetic = injects_seq_gates p.Framework.cfg.Framework.technique;
       technique = Technique.name p.Framework.cfg.Framework.technique;
-      prev_class = None;
-      prev_cycles = Cpu.cycles cpu;
+      cls;
+      prev = -1;
       step_hook = None;
       event_hook = None;
     }
   in
   let on_step (c : Cpu.t) _insn =
-    let now = Cpu.cycles c in
-    (* The cycles since the previous fetch belong to the previous
-       instruction's site (pipeline effects included). *)
-    (match t.prev_class with
-    | Some (id, _) -> t.stats.(id).cycles <- t.stats.(id).cycles +. (now -. t.prev_cycles)
-    | None -> t.app.r_cycles <- t.app.r_cycles +. (now -. t.prev_cycles));
-    t.prev_cycles <- now;
-    let cls = Sitemap.classify sm c.Cpu.rip in
+    let k = class_of t c.Cpu.rip in
     (* A crossing/check fires on the transition into a tagged range, so a
        straight-line enter sequence counts once however long it is. *)
-    (if cls <> t.prev_class then
-       match cls with
-       | Some (id, Sitemap.Gate_open) ->
-         t.stats.(id).crossings <- t.stats.(id).crossings + 1;
-         if t.synthetic then
-           Cpu.emit c (Event.Gate_enter { rip = c.Cpu.rip; gate = Event.Seq t.technique })
-       | Some (id, Sitemap.Gate_close) ->
-         t.stats.(id).crossings <- t.stats.(id).crossings + 1;
-         if t.synthetic then
-           Cpu.emit c (Event.Gate_exit { rip = c.Cpu.rip; gate = Event.Seq t.technique })
-       | Some (id, (Sitemap.Check | Sitemap.Hoisted_check)) ->
-         t.stats.(id).checks <- t.stats.(id).checks + 1
-       | None -> ());
-    t.prev_class <- cls
+    if k <> t.prev then begin
+      t.prev <- k;
+      if k >= 0 then begin
+        let r = Array.unsafe_get t.stats (k lsr 2) in
+        if k land 3 = 2 then r.checks <- r.checks + 1
+        else begin
+          r.crossings <- r.crossings + 1;
+          if t.synthetic then begin
+            let rip = c.Cpu.rip and gate = Event.Seq t.technique in
+            Cpu.emit c
+              (if k land 3 = 0 then Event.Gate_enter { rip; gate } else Event.Gate_exit { rip; gate })
+          end
+        end
+      end
+    end
   in
   let on_event ev =
     let attribute ~tlb ~cache ~fault rip =
-      match Sitemap.classify sm rip with
-      | Some (id, _) ->
-        let s = t.stats.(id) in
-        s.tlb_misses <- s.tlb_misses + tlb;
-        s.cache_misses <- s.cache_misses + cache;
-        s.faults <- s.faults + fault
-      | None ->
+      match class_of t rip with
+      | -1 ->
         t.app.r_tlb_misses <- t.app.r_tlb_misses + tlb;
         t.app.r_cache_misses <- t.app.r_cache_misses + cache;
         t.app.r_faults <- t.app.r_faults + fault
+      | k ->
+        let s = t.stats.(k lsr 2) in
+        s.tlb_misses <- s.tlb_misses + tlb;
+        s.cache_misses <- s.cache_misses + cache;
+        s.faults <- s.faults + fault
     in
     match ev with
     | Event.Tlb_miss { rip; _ } -> attribute ~tlb:1 ~cache:0 ~fault:0 rip
@@ -121,18 +130,20 @@ let attach_smp (s : Framework.smp) =
     (fun cpu -> attach { s.Framework.prepared with Framework.cpu })
     (Machine.cpus s.Framework.machine)
 
+(* Row [i] of the CPI accumulator summed over its classes, in class
+   order — the same sum as {!Fastprof.row_cycles}. *)
+let cpi_row_sum cpi i =
+  Array.fold_left ( +. ) 0.0 (Array.sub cpi (i * Pipeline.cls_count) Pipeline.cls_count)
+
 let stop t =
   let cpu = t.prepared.Framework.cpu in
   (match t.step_hook with
   | Some id ->
     Cpu.remove_step_hook cpu id;
     t.step_hook <- None;
-    (* Account the tail: cycles since the last fetch. *)
-    let now = Cpu.cycles cpu in
-    (match t.prev_class with
-    | Some (id, _) -> t.stats.(id).cycles <- t.stats.(id).cycles +. (now -. t.prev_cycles)
-    | None -> t.app.r_cycles <- t.app.r_cycles +. (now -. t.prev_cycles));
-    t.prev_cycles <- now
+    let cpi = Pipeline.cpi_rows cpu.Cpu.pipe in
+    t.app.r_cycles <- cpi_row_sum cpi 0;
+    Array.iteri (fun id r -> r.cycles <- cpi_row_sum cpi (id + 1)) t.stats
   | None -> ());
   (match t.event_hook with
   | Some id ->

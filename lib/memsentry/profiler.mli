@@ -7,9 +7,10 @@
     - counts {e crossings} (executions of a gate open/close sequence) and
       {e checks} (executions of an address-based check) per
       {!Sitemap.site}, by watching step transitions into tagged ranges;
-    - attributes cycles to each site: time between consecutive fetches is
-      charged to the site of the instruction that just ran, so gate
-      serialization and cache effects land on the gate that caused them;
+    - attributes cycles to each site from the {!X86sim.Pipeline} CPI
+      rows, which charge every issue to the issuing instruction's site,
+      so gate serialization and cache effects land on the gate that
+      caused them;
     - attributes TLB misses, cache fills below L1, and faults to sites via
       the [rip] carried by typed {!X86sim.Event.t}s;
     - records domain-residency spans. For techniques whose gates the CPU
@@ -17,6 +18,8 @@
       for sequence-gated techniques (crypt, mprotect) the profiler injects
       [Event.Seq] gate events at sitemap boundaries — exactly one source
       per technique, so nothing is double counted.
+
+    Per step, the hook does one array load and one int compare.
 
     For MPK, the sum of all sites' crossings equals the machine's
     [wrpkrus] counter: every crossing executes exactly one [wrpkru]. *)
@@ -44,9 +47,10 @@ type residual = {
 type t
 
 val attach : Framework.prepared -> t
-(** Install step and event hooks (composes with tracers and analyses).
-    Attach before {!Framework.run}; cycle accounting starts at the current
-    pipeline clock. *)
+(** Install step and event hooks (composes with tracers and analyses) and
+    the {!Fastprof} site map ({!Fastprof.install}, which replaces any
+    earlier one and zeroes the CPI rows). Attach before {!Framework.run};
+    cycle accounting starts at the current pipeline clock. *)
 
 val attach_smp : Framework.smp -> t array
 (** One profiler per vCPU (index = core id), each with its own hooks and
@@ -56,8 +60,11 @@ val attach_smp : Framework.smp -> t array
     {!Fastprof.install_smp}/{!Fastprof.capture_smp}. *)
 
 val stop : t -> unit
-(** Remove the hooks, charge the cycle tail, and force-close open spans.
-    Call after the run; accessors below are meaningful afterwards. *)
+(** Remove the hooks, read per-site and application cycles from the CPI
+    rows, and force-close open spans. The site map stays installed, so
+    {!Fastprof.capture} and {!X86sim.Pipeline.cpi_totals} still see the
+    per-site rows afterwards. Call after the run; accessors below are
+    meaningful afterwards. *)
 
 val injects_seq_gates : Technique.t -> bool
 (** Whether the profiler supplies [Event.Seq] gate events for this

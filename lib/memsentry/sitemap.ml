@@ -9,27 +9,28 @@ let role_name = function
 type site = { id : int; label : string; technique : string; orig_rip : int }
 
 type t = {
-  mutable sites_rev : site list;
+  mutable arr : site array;  (* [arr.(id)] for ids in [0, n); grows by doubling *)
   mutable n : int;
   by_rip : (int, int * role) Hashtbl.t;
 }
 
-let create () = { sites_rev = []; n = 0; by_rip = Hashtbl.create 64 }
+let create () = { arr = [||]; n = 0; by_rip = Hashtbl.create 64 }
 
 let new_site t ~label ~technique ~orig_rip =
   let s = { id = t.n; label; technique; orig_rip } in
-  t.sites_rev <- s :: t.sites_rev;
+  if t.n = Array.length t.arr then t.arr <- Array.append t.arr (Array.make (max 16 t.n) s);
+  t.arr.(t.n) <- s;
   t.n <- t.n + 1;
   s.id
 
 let tag t ~rip ~site ~role = Hashtbl.replace t.by_rip rip (site, role)
 
 let n_sites t = t.n
-let sites t = List.rev t.sites_rev
+let sites t = List.init t.n (Array.get t.arr)
 
 let site t id =
   if id < 0 || id >= t.n then invalid_arg "Sitemap.site: no such site";
-  List.nth t.sites_rev (t.n - 1 - id)
+  t.arr.(id)
 
 let classify t rip = Hashtbl.find_opt t.by_rip rip
 

@@ -41,12 +41,12 @@ val tag : t -> rip:int -> site:int -> role:role -> unit
 
 val classify : t -> int -> (int * role) option
 (** [(site id, role)] of an instruction index, or [None] for application
-    code. O(1); used in the profiler's per-step hot path. *)
+    code. O(1); the profilers expand it into per-rip arrays at attach. *)
 
 val lookup : t -> int -> (site * role) option
 
 val site : t -> int -> site
-(** Raises [Invalid_argument] for out-of-range ids. *)
+(** O(1). Raises [Invalid_argument] for out-of-range ids. *)
 
 val sites : t -> site list
 (** In id order. *)

@@ -157,6 +157,73 @@ let test_differential_observation_only () =
   Alcotest.(check bool) "registers identical" true (a.Cpu.gpr = b.Cpu.gpr);
   Alcotest.(check bool) "xmm state identical" true (Bytes.equal a.Cpu.xmm b.Cpu.xmm)
 
+(* --- one counter spine: the hooked profiler's cycles are the CPI rows --- *)
+
+let profiled_run ?(install_first = false) p =
+  if install_first then Fastprof.install p;
+  let profiler = Profiler.attach p in
+  (match Framework.run p with
+  | Cpu.Halted -> ()
+  | Cpu.Out_of_fuel -> Alcotest.fail "run out of fuel");
+  Profiler.stop profiler;
+  (profiler, Fastprof.capture p)
+
+let check_spine what (profiler, fp) =
+  match fp.Fastprof.p_rows with
+  | app :: sites ->
+    (* Exact float equality: both sides sum the same cells in the same
+       order. *)
+    Alcotest.(check (float 0.0)) (what ^ ": app row = residual")
+      (Fastprof.row_cycles app) (Profiler.residual profiler).Profiler.r_cycles;
+    let rows = Profiler.rows profiler in
+    Alcotest.(check int) (what ^ ": one CPI row per site") (List.length rows)
+      (List.length sites);
+    List.iter2
+      (fun (r : Profiler.row) (f : Fastprof.row) ->
+        Alcotest.(check int) (what ^ ": row order") r.Profiler.site.Sitemap.orig_rip
+          f.Fastprof.fp_rip;
+        Alcotest.(check (float 0.0)) (what ^ ": site cycles") (Fastprof.row_cycles f)
+          r.Profiler.cycles)
+      rows sites
+  | [] -> Alcotest.fail "profile has no rows"
+
+let test_profiler_cycles_from_spine () =
+  let sfi = Framework.config ~address_kind:Instr.Reads_and_writes Technique.Sfi in
+  let mpk =
+    Framework.config ~switch_policy:Instr.At_call_ret (Technique.Mpk Mpk.Pkey.No_access)
+  in
+  List.iter
+    (fun (what, cfg) ->
+      let prepare () =
+        Framework.prepare cfg
+          (Workloads.Synth.lowered ~iterations:3 (Workloads.Spec2006.find "429.mcf"))
+      in
+      let fresh = profiled_run (prepare ()) in
+      check_spine what fresh;
+      (* A site map installed before attach is replaced, not summed into. *)
+      let reinstalled = profiled_run ~install_first:true (prepare ()) in
+      check_spine (what ^ " (installed first)") reinstalled;
+      List.iter2
+        (fun (a : Profiler.row) (b : Profiler.row) ->
+          Alcotest.(check (float 0.0)) (what ^ ": install before attach changes nothing")
+            a.Profiler.cycles b.Profiler.cycles)
+        (Profiler.rows (fst fresh)) (Profiler.rows (fst reinstalled)))
+    [ ("SFI-rw", sfi); ("MPK", mpk) ]
+
+let test_sitemap_site_lookup () =
+  let sm = Sitemap.create () in
+  for i = 0 to 99 do
+    ignore (Sitemap.new_site sm ~label:(string_of_int i) ~technique:"t" ~orig_rip:(i * 3))
+  done;
+  Alcotest.(check int) "site by id" 141 (Sitemap.site sm 47).Sitemap.orig_rip;
+  Alcotest.(check (list int)) "sites in id order" (List.init 100 Fun.id)
+    (List.map (fun (s : Sitemap.site) -> s.Sitemap.id) (Sitemap.sites sm));
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "unknown id %d rejected" id) true
+        (try ignore (Sitemap.site sm id); false with Invalid_argument _ -> true))
+    [ -1; 100; 1000 ]
+
 (* --- flamegraph emitters --- *)
 
 let test_collapsed_emitter () =
@@ -233,6 +300,9 @@ let suite =
     Alcotest.test_case "fastprof json: trace section + leniency" `Quick
       test_fastprof_json_traces;
     Alcotest.test_case "observation-only differential" `Quick test_differential_observation_only;
+    Alcotest.test_case "profiler cycles = Fastprof CPI rows" `Quick
+      test_profiler_cycles_from_spine;
+    Alcotest.test_case "sitemap site lookup by id" `Quick test_sitemap_site_lookup;
     Alcotest.test_case "collapsed flamegraph" `Quick test_collapsed_emitter;
     Alcotest.test_case "speedscope export" `Quick test_speedscope_emitter;
     Alcotest.test_case "perf-diff flags regressions" `Quick test_diff_flags_regressions;

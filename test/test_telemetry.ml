@@ -376,6 +376,35 @@ let test_crypt_synthetic_spans () =
     (List.length (Profiler.spans profiler));
   Alcotest.(check int) "no stray exits" 0 (Profiler.unmatched_exits profiler)
 
+(* Host-independent allocation gate on the hooked path: the profiler's
+   step hook is one array load and one int compare, and its cycles come
+   from the CPI rows, so a profiled run allocates well under a minor word
+   per simulated instruction. Most of what remains is the gate events an
+   MPK run delivers. *)
+let test_profiler_minor_words_per_insn () =
+  let prof = Workloads.Spec2006.find "429.mcf" in
+  List.iter
+    (fun (what, cfg) ->
+      let p = Workloads.Runner.prepare_instrumented ~iterations:40 ~optimize:true prof cfg in
+      let profiler = Profiler.attach p in
+      let w0 = Gc.minor_words () in
+      (match Framework.run p with
+      | Cpu.Halted -> ()
+      | Cpu.Out_of_fuel -> Alcotest.fail "did not halt");
+      let words = Gc.minor_words () -. w0 in
+      Profiler.stop profiler;
+      Alcotest.(check bool) (what ^ ": profiler observed sites") true
+        (Profiler.total_checks profiler + Profiler.total_crossings profiler > 0);
+      let per_insn = words /. float_of_int p.Framework.cpu.Cpu.counters.Cpu.insns in
+      if per_insn >= 1.0 then
+        Alcotest.failf "%s: profiled mcf allocates %.3f minor words per insn (bound 1.0)" what
+          per_insn)
+    [
+      ("SFI-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Sfi);
+      ( "MPK@call-ret",
+        Framework.config ~switch_policy:Instr.At_call_ret (Technique.Mpk Mpk.Pkey.No_access) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -397,4 +426,6 @@ let suite =
     Alcotest.test_case "profile json round-trip" `Quick test_profile_json_roundtrip;
     Alcotest.test_case "chrome trace valid" `Quick test_chrome_trace_valid;
     Alcotest.test_case "crypt synthetic spans" `Quick test_crypt_synthetic_spans;
+    Alcotest.test_case "profiler: hooked run allocates < 1 minor word/insn" `Quick
+      test_profiler_minor_words_per_insn;
   ]
