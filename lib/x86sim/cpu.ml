@@ -165,14 +165,32 @@ let charge_shootdown_ipis t =
       ~lat:(float_of_int remotes *. ipi_cost)
       ~port:Pipeline.p_special ()
 
+(* The most frames mapping [len] fresh bytes can take from the pool: one
+   per page, plus at each non-root page-table level one table per 512
+   entries spanned and one more for a straddled boundary. Counted in
+   pages, so no length overflows it. *)
+let mmap_worst_frames len =
+  let pages = ((len - 1) / Physmem.page_size) + 1 in
+  let tables = ref 0 in
+  for level = 1 to Pagetable.walk_levels - 1 do
+    tables := !tables + ((pages - 1) lsr (9 * level)) + 2
+  done;
+  pages + !tables
+
 let default_syscall_handler t =
   let nr = t.gpr.(Reg.rax) in
   if nr = sys_exit then t.halted <- true
   else if nr = sys_mmap then begin
-    let len = Bitops.align_up Physmem.page_size (max t.gpr.(Reg.rsi) Physmem.page_size) in
-    (* Machine-level cursor: cores share one address space, so sibling
-       mmaps interleave without overlapping (guard page included). *)
-    t.gpr.(Reg.rax) <- Mmu.mmap_alloc t.mmu ~len ~writable:true
+    let len = max t.gpr.(Reg.rsi) Physmem.page_size in
+    let phys = t.mmu.Mmu.phys in
+    (* Refuse up front what the pool cannot hold: a guest request must not
+       run the host out of frames halfway through a mapping. *)
+    if mmap_worst_frames len > Physmem.max_frames phys - Physmem.frame_count phys then
+      t.gpr.(Reg.rax) <- -12 (* ENOMEM *)
+    else
+      (* Machine-level cursor: cores share one address space, so sibling
+         mmaps interleave without overlapping (guard page included). *)
+      t.gpr.(Reg.rax) <- Mmu.mmap_alloc t.mmu ~len ~writable:true
   end
   else if nr = sys_mprotect then begin
     let addr = t.gpr.(Reg.rdi) and len = t.gpr.(Reg.rsi) and prot = t.gpr.(Reg.rdx) in

@@ -231,7 +231,9 @@ val sys_write : int
 (** 1 — accepted and discarded. *)
 
 val sys_mmap : int
-(** 9 — anonymous, returns fresh pages. *)
+(** 9 — anonymous, returns fresh pages. Returns -12 (ENOMEM) and maps
+    nothing when the request, with its worst-case page-table frames,
+    exceeds the frames left in the pool. *)
 
 val sys_mprotect : int
 (** 10 — rdi=addr, rsi=len, rdx=prot (1=r, 2=w). *)

@@ -1,8 +1,11 @@
 (** Host-physical memory: a sparse pool of 4 KiB frames.
 
-    Frames are allocated on demand and addressed by frame number. Word
-    accesses are 64-bit little-endian; values are native [int]s (bit 63 is
-    not representable, which no workload here requires — see {!Insn}). *)
+    Frames are allocated on demand and addressed by frame number. A frame
+    is demand-zero: until its first write it shares one read-only zero
+    page and costs the host no bytes; the first write through any writer
+    gives it its own zeroed 4 KiB. Word accesses are 64-bit little-endian;
+    values are native [int]s (bit 63 is not representable, which no
+    workload here requires — see {!Insn}). *)
 
 val page_size : int
 (** 4096. *)
@@ -14,7 +17,8 @@ val create : ?max_frames:int -> unit -> t
     itself starts small and doubles on demand up to the cap. *)
 
 val alloc_frame : t -> int
-(** A fresh zeroed frame; returns its frame number. Raises [Failure] with
+(** A fresh frame that reads as zeros; returns its frame number. Its host
+    bytes are allocated on its first write. Raises [Failure] with
     an "out of physical frames" message once [max_frames] frames are live —
     a shared pool feeding several cores exhausts memory as a policy matter,
     not as an array bound fault. *)
@@ -22,11 +26,6 @@ val alloc_frame : t -> int
 val frame_count : t -> int
 
 val max_frames : t -> int
-
-val frame_bytes : t -> int -> Bytes.t
-(** Raw backing store of a frame (for block operations such as the crypt
-    technique's in-place encryption). Raises [Invalid_argument] for an
-    unallocated frame. *)
 
 val read64 : t -> frame:int -> off:int -> int
 val write64 : t -> frame:int -> off:int -> int -> unit

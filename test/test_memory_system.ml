@@ -180,6 +180,149 @@ let test_physmem_rejects_bad_cap () =
   | _ -> Alcotest.fail "negative cap must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* Oracle for demand-zero frames: random sequences of allocations, writes
+   and reads against a reference model with one eager zeroed [Bytes.t] per
+   frame. Every read agrees with the model (so never-written frames read as
+   zeros), every fresh frame reads all-zero, and a write with an
+   out-of-range frame or offset raises [Invalid_argument] and changes
+   nothing. The trusted write is exercised too: a writer that skipped the
+   zero-page test would write into the page every untouched frame shares,
+   and the next fresh frame would not read as zeros. *)
+type physmem_op = { kind : int; fsel : int; off : int; v : int }
+
+let print_physmem_op o =
+  let name =
+    [| "alloc"; "write64"; "write64_trusted"; "write8"; "write_block16";
+       "write_block16_from"; "read64"; "read8"; "read_block16" |].(o.kind)
+  in
+  Printf.sprintf "%s(fsel=%d, off=%d, v=%d)" name o.fsel o.off o.v
+
+let gen_physmem_op =
+  let open QCheck.Gen in
+  let page = Physmem.page_size in
+  let off =
+    frequency
+      [
+        (8, map (fun k -> 8 * k) (int_range 0 ((page / 8) - 1)));
+        (4, int_range 0 (page - 1));
+        (1, int_range (-16) (-1));
+        (1, int_range (page - 15) (page + 16));
+      ]
+  in
+  map
+    (fun (kind, fsel, off, v) -> { kind; fsel; off; v })
+    (quad (frequency [ (2, return 0); (9, int_range 1 8) ]) (int_range 0 1000) off int)
+
+let physmem_frame_is_zero pm f =
+  let rec go off = off >= Physmem.page_size || (Physmem.read64 pm ~frame:f ~off = 0 && go (off + 8)) in
+  go 0
+
+let prop_physmem_demand_zero_oracle =
+  QCheck.Test.make ~name:"physmem demand-zero frames match an eager model" ~count:300
+    QCheck.(make ~print:(Print.list print_physmem_op) Gen.(list_size (int_range 1 80) gen_physmem_op))
+    (fun ops ->
+      let pm = Physmem.create () in
+      let model = ref [||] in
+      let outcome f = try `Ok (f ()) with Invalid_argument _ -> `Invalid in
+      List.iter
+        (fun o ->
+          let n = Array.length !model in
+          (* Checked ops may name the one-past-the-end frame; trusted ones
+             only live frames. *)
+          let f = o.fsel mod (n + 1) in
+          let block = Bytes.init 32 (fun k -> Char.chr ((o.v lsr (k mod 8 * 7)) land 0xFF)) in
+          let spos = o.fsel mod 17 in
+          let agree a b =
+            if a <> b then QCheck.Test.fail_reportf "%s: physmem and model disagree" (print_physmem_op o)
+          in
+          match o.kind with
+          | 0 ->
+            let fresh = Physmem.alloc_frame pm in
+            if fresh <> n then QCheck.Test.fail_reportf "frame %d numbered %d" n fresh;
+            model := Array.append !model [| Bytes.make Physmem.page_size '\000' |];
+            if not (physmem_frame_is_zero pm fresh) then
+              QCheck.Test.fail_reportf "fresh frame %d does not read as zeros" fresh
+          | 1 ->
+            agree
+              (outcome (fun () -> Physmem.write64 pm ~frame:f ~off:o.off o.v; 0))
+              (outcome (fun () -> Bytes.set_int64_le !model.(f) o.off (Int64.of_int o.v); 0))
+          | 2 ->
+            if n > 0 then begin
+              let f = o.fsel mod n in
+              agree
+                (outcome (fun () -> Physmem.write64_trusted pm ~frame:f ~off:o.off o.v; 0))
+                (outcome (fun () -> Bytes.set_int64_le !model.(f) o.off (Int64.of_int o.v); 0))
+            end
+          | 3 ->
+            agree
+              (outcome (fun () -> Physmem.write8 pm ~frame:f ~off:o.off (o.v land 0xFF); 0))
+              (outcome (fun () -> Bytes.set_uint8 !model.(f) o.off (o.v land 0xFF); 0))
+          | 4 ->
+            let b = Bytes.sub block 0 16 in
+            agree
+              (outcome (fun () -> Physmem.write_block16 pm ~frame:f ~off:o.off b; 0))
+              (outcome (fun () -> Bytes.blit b 0 !model.(f) o.off 16; 0))
+          | 5 ->
+            agree
+              (outcome (fun () -> Physmem.write_block16_from pm ~frame:f ~off:o.off ~src:block ~spos; 0))
+              (outcome (fun () -> Bytes.blit block spos !model.(f) o.off 16; 0))
+          | 6 ->
+            agree
+              (outcome (fun () -> Physmem.read64 pm ~frame:f ~off:o.off))
+              (outcome (fun () -> Int64.to_int (Bytes.get_int64_le !model.(f) o.off)))
+          | 7 ->
+            agree
+              (outcome (fun () -> Physmem.read8 pm ~frame:f ~off:o.off))
+              (outcome (fun () -> Bytes.get_uint8 !model.(f) o.off))
+          | _ ->
+            let into = Bytes.make 16 '?' in
+            agree
+              (outcome (fun () -> Bytes.to_string (Physmem.read_block16 pm ~frame:f ~off:o.off)))
+              (outcome (fun () -> Bytes.sub_string !model.(f) o.off 16));
+            if n > 0 then begin
+              let f = o.fsel mod n and off = o.off land (Physmem.page_size - 16) in
+              Physmem.read_block16_into pm ~frame:f ~off ~dst:into ~dpos:0;
+              agree (`Ok (Bytes.to_string into)) (`Ok (Bytes.sub_string !model.(f) off 16))
+            end)
+        ops;
+      Physmem.frame_count pm = Array.length !model
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun f b ->
+                let rec go off =
+                  off >= Physmem.page_size
+                  || Physmem.read64 pm ~frame:f ~off = Int64.to_int (Bytes.get_int64_le b off)
+                     && go (off + 8)
+                in
+                go 0)
+              !model))
+
+(* Host-independent allocation gate: preparing a 2^25-byte working set
+   (429.mcf maps 8,288 frames) must not give every mapped page its own
+   4 KiB up front. Eager frames cost about 4.6M major words per prepare;
+   demand-zero ones about 0.35M. Counted in words, not seconds, so the
+   bound holds on any host. *)
+let test_prepare_major_words () =
+  let lowered = Workloads.Synth.lowered ~iterations:40 (Workloads.Spec2006.find "mcf") in
+  let major_words f =
+    let major () = (fun (_, _, m) -> m) (Gc.counters ()) in
+    let w0 = major () in
+    ignore (Sys.opaque_identity (f ()));
+    major () -. w0
+  in
+  let sfi_rw =
+    Memsentry.Framework.config ~address_kind:Memsentry.Instr.Reads_and_writes Memsentry.Technique.Sfi
+  in
+  List.iter
+    (fun (name, words) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s prepare: %.0f major words < 1M" name words)
+        true (words < 1e6))
+    [
+      ("baseline", major_words (fun () -> Memsentry.Framework.prepare_baseline lowered));
+      ("SFI-rw", major_words (fun () -> Memsentry.Framework.prepare sfi_rw lowered));
+    ]
+
 (* --- pipeline properties --- *)
 
 let test_pipeline_monotone () =
@@ -326,6 +469,8 @@ let suite =
       test_physmem_growth_preserves_contents;
     Alcotest.test_case "physmem out-of-frames diagnosis" `Quick test_physmem_out_of_frames;
     Alcotest.test_case "physmem rejects bad cap" `Quick test_physmem_rejects_bad_cap;
+    QCheck_alcotest.to_alcotest prop_physmem_demand_zero_oracle;
+    Alcotest.test_case "physmem: prepare allocates < 1M major words" `Quick test_prepare_major_words;
     Alcotest.test_case "pipeline monotone" `Quick test_pipeline_monotone;
     Alcotest.test_case "pipeline serialize" `Quick test_pipeline_serialize_orders;
     Alcotest.test_case "pipeline dep floor" `Quick test_pipeline_dep_floor;

@@ -405,6 +405,43 @@ let test_mmap_syscall () =
   check_gpr cpu Reg.rcx 55 "mmap'd memory usable";
   Alcotest.(check int) "syscall counted" 1 cpu.Cpu.counters.Cpu.syscalls
 
+(* A guest mmap the frame pool cannot hold answers ENOMEM and maps nothing,
+   instead of raising out of [Cpu.run] after a partial mapping. *)
+let mmap_prog len =
+  Program.assemble
+    (List.map i
+       [
+         Insn.Mov_ri (Reg.rax, Cpu.sys_mmap);
+         Insn.Mov_ri (Reg.rdi, 0);
+         Insn.Mov_ri (Reg.rsi, len);
+         Insn.Syscall;
+         Insn.Halt;
+       ])
+
+let run_mmap cpu len =
+  Cpu.load_program cpu (mmap_prog len);
+  (match Cpu.run cpu with
+  | Cpu.Halted -> ()
+  | Cpu.Out_of_fuel -> Alcotest.fail "out of fuel");
+  Cpu.get_gpr cpu Reg.rax
+
+let test_mmap_enomem_small_pool () =
+  let m = Machine.create ~max_frames:200 () in
+  let cpu = Machine.cpu m 0 in
+  let phys = cpu.Cpu.mmu.Mmu.phys in
+  let before = Physmem.frame_count phys in
+  Alcotest.(check int) "1 MiB over a 200-frame pool is ENOMEM" (-12) (run_mmap cpu (1 lsl 20));
+  Alcotest.(check int) "nothing mapped" before (Physmem.frame_count phys);
+  let addr = run_mmap cpu 8192 in
+  Alcotest.(check bool) "a request that fits still maps" true (addr > 0);
+  Alcotest.(check bool) "at the first mmap address" true (Mmu.is_mapped cpu.Cpu.mmu ~va:addr)
+
+let test_mmap_enomem_huge_length () =
+  let cpu = Cpu.create () in
+  let before = Physmem.frame_count cpu.Cpu.mmu.Mmu.phys in
+  Alcotest.(check int) "max_int length is ENOMEM" (-12) (run_mmap cpu max_int);
+  Alcotest.(check int) "nothing mapped" before (Physmem.frame_count cpu.Cpu.mmu.Mmu.phys)
+
 let test_exit_syscall_halts () =
   let cpu =
     run_insns
@@ -614,6 +651,8 @@ let suite =
     Alcotest.test_case "AES instruction sequence" `Quick test_aes_insns_encrypt;
     Alcotest.test_case "ymm high half survives xmm ops" `Quick test_ymm_high_survives_xmm_ops;
     Alcotest.test_case "mmap syscall" `Quick test_mmap_syscall;
+    Alcotest.test_case "mmap over the frame pool is ENOMEM" `Quick test_mmap_enomem_small_pool;
+    Alcotest.test_case "mmap of max_int bytes is ENOMEM" `Quick test_mmap_enomem_huge_length;
     Alcotest.test_case "exit syscall halts" `Quick test_exit_syscall_halts;
     Alcotest.test_case "mprotect syscall" `Quick test_mprotect_syscall;
     Alcotest.test_case "unknown syscall ENOSYS" `Quick test_unknown_syscall_enosys;
