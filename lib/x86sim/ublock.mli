@@ -1,46 +1,64 @@
-(** Predecoded basic-block translation cache.
+(** Predecoded instructions and the basic-block translation cache.
 
-    [Cpu.run]'s no-hook fast loop used to re-fetch an {!Insn.t} and walk
-    the full constructor match on every step, re-resolving operands,
-    pipeline ports and memory-op shape that are static for the lifetime of
-    a program. This module is the classic interpreter → threaded-code
-    step: each basic block of a {!Program.t} is compiled once into a flat
-    array of {!uop} micro-ops — operands resolved to register ids, issue
-    metadata ({!Pipeline.pack}ed register ids/port/latency) precomputed,
-    memory-op shape flattened into [base+disp] vs general addressing — and
-    the CPU executes cached blocks by direct array dispatch.
+    This module is the simulator's only instruction decoder. {!decode}
+    turns each {!Insn.t} into a {!uop}: operands resolved to register
+    ids, issue metadata ({!Pipeline.pack}ed register ids/port/latency)
+    precomputed, memory-op shape flattened into [base+disp] vs general
+    addressing, branch targets resolved to instruction indices. A cache
+    decodes its program's whole code array once, when it is created
+    ([Cpu.load_program], at setup time), and every execution path runs
+    those uops: the hooked [Cpu.step] one instruction at a time, the
+    block tier and the trace tier by direct array dispatch.
 
     Structure:
     - {b Keying}: blocks are keyed by entry instruction index in a
       per-program array ([blocks]); jumping into the middle of an existing
-      block simply compiles a new (overlapping) block at that entry —
-      translations are pure functions of the code array, so overlap is
-      harmless.
+      block simply forms a new (overlapping) block at that entry — blocks
+      are slices of the decoded code array, so overlap is harmless.
     - {b Chaining}: a block ends at its terminator (branch, call, ret,
-      halt, or a serializing instruction that must run through the
-      interpreter). Static terminators cache direct links to their
-      successor blocks ([succ_taken]/[succ_fall]), so steady-state
-      execution follows block→block pointers without re-looking-up the
-      cache.
+      halt, or a serializing instruction). Static terminators cache
+      direct links to their successor blocks ([succ_taken]/[succ_fall]),
+      so steady-state execution follows block→block pointers without
+      re-looking-up the cache.
     - {b Invalidation}: the cache carries a generation counter; each block
-      records the generation it was compiled under, and blocks (and
-      chain links) whose generation is stale are recompiled on next entry.
+      records the generation it was formed under, and blocks (and chain
+      links) whose generation is stale are re-formed on next entry.
       [Cpu.load_program] switches caches when the program changes
-      identity; [Cpu.flush_translations] bumps the generation for the rare
-      case of in-place mutation of the code array.
+      identity; [Cpu.flush_translations] re-decodes the code array and
+      bumps the generation for the rare case of in-place mutation.
 
-    The slow paths keep interpreter semantics by construction: attached
-    step/event hooks bypass translation entirely ([Cpu.step]), faults
-    unwind out of block execution with [Cpu.rip] still naming the faulting
-    instruction (every uop re-arms [rip] before executing), and
-    serializing/handler instructions ([syscall], [vmcall], [wrpkru], …)
-    are block terminators executed by the interpreter's own [exec]. *)
+    Faults unwind out of block execution with [Cpu.rip] still naming the
+    faulting instruction (every uop re-arms [rip] before executing), and
+    the serializing instructions ([syscall], [vmcall], [wrpkru], …) end
+    their block, because their handlers may attach hooks or swap the
+    program. *)
 
-(** One predecoded micro-op: one non-terminator instruction with operands
-    resolved and issue metadata precomputed. [meta] fields are
-    {!Pipeline.pack} words; memory operands appear either flattened
-    ([base]+[disp], the [_bd] shapes) or general ([base]/[index]/[scale]/
-    [disp] with -1 = absent register, as in {!Insn.mem}). *)
+(** The six serializing instructions. They end a block and run through
+    [Cpu]'s own executor, which may call the syscall or vmcall handler. *)
+type serial = Syscall | Mfence | Cpuid | Wrpkru | Vmfunc | Vmcall
+
+(** How a block ends, with branch targets resolved to instruction
+    indices. [Term_exec] carries a serializing instruction; it ends the
+    chain, because its handler may attach hooks or swap the program.
+    [Term_fall_off] is never decoded from an instruction: it marks a block
+    that runs off the end of the code array, and executing it re-raises
+    the fetch fault of [Program.fetch]. *)
+type terminator =
+  | Term_halt
+  | Term_jmp of { target : int }
+  | Term_jcc of { cond : Insn.cond; target : int }
+  | Term_call of { target : int }
+  | Term_call_r of { r : int }
+  | Term_jmp_r of { r : int }
+  | Term_ret
+  | Term_exec of serial
+  | Term_fall_off
+
+(** One predecoded instruction. [meta] fields are {!Pipeline.pack} words;
+    memory operands appear either flattened ([base]+[disp], the [_bd]
+    shapes) or general ([base]/[index]/[scale]/[disp] with -1 = absent
+    register, as in {!Insn.mem}). Every constructor but [Uterm] is a
+    straight-line instruction; [Uterm] wraps the ones that end a block. *)
 type uop =
   | Unop of { meta : int }
   | Umov_rr of { d : int; s : int; meta : int }
@@ -81,29 +99,19 @@ type uop =
   | Uaesimc of { d : int; s : int }
   | Uvext_high of { d : int; s : int; meta : int }
   | Uvins_high of { d : int; s : int; meta : int }
+  | Uterm of terminator
 
-(** How a block ends, with branch targets resolved to instruction
-    indices. [Term_exec] instructions (serializing/handler instructions:
-    [Syscall], [Mfence], [Cpuid], [Wrpkru], [Vmfunc], [Vmcall]) are
-    executed by the interpreter and end the chain, because their handlers
-    may attach hooks or swap the program. [Term_fall_off] marks a block
-    that runs off the end of the code array: executing it re-raises the
-    fetch fault of [Program.fetch]. *)
-type terminator =
-  | Term_halt
-  | Term_jmp of { target : int }
-  | Term_jcc of { cond : Insn.cond; target : int }
-  | Term_call of { target : int }
-  | Term_call_r of { r : int }
-  | Term_jmp_r of { r : int }
-  | Term_ret
-  | Term_exec of Insn.t
-  | Term_fall_off
+val decode : Insn.t -> uop
+(** The uop of one instruction. Total: branches, [Halt] and the
+    serializing instructions decode to [Uterm], everything else to a
+    straight-line uop. *)
 
 type block = {
   entry : int;  (** instruction index of the first covered instruction *)
   uops : uop array;
-      (** the straight-line body: uop [i] is instruction [entry + i] *)
+      (** the straight-line body: uop [i] is instruction [entry + i]; a
+          copy of that slice of the cache's decoded array, never holding
+          a [Uterm] *)
   term : terminator;
   term_idx : int;  (** instruction index of the terminator, [entry + Array.length uops] *)
   bgen : int;  (** generation this block was compiled under *)
@@ -132,8 +140,8 @@ val dummy_block : block
     never executed. *)
 
 val create : Program.t -> cache
-(** An empty translation cache for [program]. Blocks are compiled on
-    first entry. *)
+(** A translation cache for [program]: its code array decoded, no blocks
+    yet. Blocks are formed on first entry. *)
 
 val owns : cache -> Program.t -> bool
 (** Whether this cache translates exactly that program (physical
@@ -141,16 +149,21 @@ val owns : cache -> Program.t -> bool
 
 val code_length : cache -> int
 
+val decoded : cache -> int -> uop
+(** [decoded cache i] is the uop of instruction [i] (must be within the
+    code array), as of the last decode. *)
+
 val get : cache -> int -> block
 (** The block entered at instruction index [entry] (must be within the
-    code array), compiling it now if absent or generation-stale. *)
+    code array), forming it now if absent or generation-stale. *)
 
 val generation : cache -> int
 
 val invalidate : cache -> unit
-(** Bump the generation: every cached block and chain link becomes stale
-    and is recompiled on next entry. For in-place mutation of the code
-    array; program swaps are handled by cache identity ({!owns}). *)
+(** Re-decode the code array and bump the generation: every cached block
+    and chain link becomes stale and is re-formed on next entry. For
+    in-place mutation of the code array; program swaps are handled by
+    cache identity ({!owns}). *)
 
 val drop_links : cache -> unit
 (** Eagerly sever every cached chained-successor link (reset to
