@@ -94,6 +94,14 @@ val issue_microcoded : t -> s1:int -> d1:int -> lat:int -> busy:int -> port:int 
     pending [io.(io_dep)] floor. Every argument is labeled and mandatory,
     so nothing is boxed per call. *)
 
+val issue_serial :
+  t -> s1:int -> s2:int -> d1:int -> serialize:bool -> lat:float -> port:int -> unit
+(** {!issue} for the serializing instructions: two sources, one
+    destination (-1 = none) and the port's default occupancy. Like
+    {!issue_t} it ignores and clears a pending [io.(io_dep)] floor. Every
+    argument is labeled and mandatory, so nothing is boxed per call when
+    [lat] is a constant. *)
+
 val pack : s1:int -> s2:int -> s3:int -> d1:int -> d2:int -> lat:int -> port:int -> int
 (** Pack one instruction's issue metadata (pipeline-register ids as in
     {!issue_fast}, port, and a static whole-cycle latency) into a single

@@ -104,24 +104,34 @@ let run_interp m =
   let r = Ir.Interp.run m in
   (canon (Option.value ~default:0 r.Ir.Interp.return_value), canon (Ir.Interp.read_word r "g" 0))
 
-let run_machine ?cfg m =
+(* [hooked] attaches an observe-only step hook, which sends every
+   instruction through the hooked [Cpu.step] loop instead of the block
+   and trace tiers. *)
+let run_machine ?cfg ?(hooked = false) m =
   let lowered = Ir.Lower.lower m in
   let p =
     match cfg with
     | None -> Framework.prepare_baseline lowered
     | Some c -> Framework.prepare c lowered
   in
-  match Framework.run p with
+  let steps = ref 0 in
+  if hooked then ignore (X86sim.Cpu.add_step_hook p.Framework.cpu (fun _ _ -> incr steps));
+  let result = Framework.run p in
+  if hooked && !steps = 0 then Alcotest.fail "step hook never fired";
+  match result with
   | X86sim.Cpu.Out_of_fuel -> Alcotest.fail "machine run out of fuel"
   | X86sim.Cpu.Halted ->
     let rax = X86sim.Cpu.get_gpr p.Framework.cpu X86sim.Reg.rax in
     let g0 = X86sim.Mmu.peek64 p.Framework.cpu.X86sim.Cpu.mmu ~va:(Ir.Lower.global_va lowered "g") in
     (canon rax, canon g0)
 
+(* The IR interpreter is the independent oracle for both ways the
+   machine executes: the block and trace tiers, and the hooked step. *)
 let prop_interp_vs_machine =
-  QCheck.Test.make ~name:"interp and lowered machine agree" ~count:120 arb_recipe (fun r ->
-      let m1 = build_program r and m2 = build_program r in
-      run_interp m1 = run_machine m2)
+  QCheck.Test.make ~name:"interp and lowered machine agree" ~count:200 arb_recipe (fun r ->
+      let reference = run_interp (build_program r) in
+      run_machine (build_program r) = reference
+      && run_machine ~hooked:true (build_program r) = reference)
 
 let techniques =
   [
