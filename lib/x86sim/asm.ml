@@ -35,9 +35,17 @@ let int_of_token line tok =
 
 (* Memory operand: the text between the brackets, e.g. "rbx+rcx*8+16",
    "rbx-0x8", "0x1000". Terms separated by +/-; each term is a register,
-   register*scale, or a displacement. *)
+   register*scale, or a displacement. Only what an x86 SIB byte can
+   encode is accepted: a scale of 1, 2, 4 or 8, and any index but rsp. *)
 let parse_mem line inner =
   let base = ref (-1) and index = ref (-1) and scale = ref 1 and disp = ref 0 in
+  let set_index r sc =
+    if !index >= 0 then fail line "two index registers in memory operand";
+    if r = Reg.rsp then fail line "rsp cannot be an index register";
+    if sc <> 1 && sc <> 2 && sc <> 4 && sc <> 8 then fail line "scale %d is not 1, 2, 4 or 8" sc;
+    index := r;
+    scale := sc
+  in
   let add_term sign term =
     let term = trim term in
     if term = "" then fail line "empty term in memory operand"
@@ -47,17 +55,14 @@ let parse_mem line inner =
         let rname = trim (String.sub term 0 star) in
         let sc = int_of_token line (trim (String.sub term (star + 1) (String.length term - star - 1))) in
         (match gpr_of_name rname with
-        | Some r when sign > 0 ->
-          if !index >= 0 then fail line "two index registers in memory operand";
-          index := r;
-          scale := sc
+        | Some r when sign > 0 -> set_index r sc
         | Some _ -> fail line "negative index register"
         | None -> fail line "unknown index register %S" rname)
       | None -> (
         match gpr_of_name term with
         | Some r when sign > 0 ->
           if !base < 0 then base := r
-          else if !index < 0 then index := r (* second plain register: index*1 *)
+          else if !index < 0 then set_index r 1 (* second plain register: index*1 *)
           else fail line "too many registers in memory operand"
         | Some _ -> fail line "negative base register"
         | None -> disp := !disp + (sign * int_of_token line term))
@@ -240,7 +245,9 @@ let parse_insn line mnemonic operands =
     | _ -> fail line "unsupported movq operands")
   | "aeskeygenassist" -> (
     match operands with
-    | [ Xmm d; Xmm s; Imm i ] -> Aeskeygenassist (d, s, i)
+    | [ Xmm d; Xmm s; Imm i ] ->
+      if i < 0 || i > 255 then fail line "aeskeygenassist immediate %d is not in [0, 255]" i;
+      Aeskeygenassist (d, s, i)
     | _ -> fail line "aeskeygenassist takes xmm, xmm, imm")
   | "vextracti128" -> (
     match operands with

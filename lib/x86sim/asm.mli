@@ -11,7 +11,7 @@
     label:                     ; label definition
     mov rax, 0x10              ; immediate (also negative / decimal)
     mov rax, rbx               ; register move
-    mov rax, [rbx+rcx*8+16]    ; load
+    mov rax, [rbx+rcx*8+16]    ; load (scale 1, 2, 4 or 8; no rsp index)
     mov [rbx+8], rdx           ; store
     mov [rbx], 42              ; store immediate
     lea rax, [rbx+8]           ; address computation
@@ -30,7 +30,7 @@
     movdqa xmm0, [rbx] | movdqa [rbx], xmm0
     movq xmm0, rax | movq rax, xmm0
     pxor|aesenc|aesenclast|aesdec|aesdeclast|aesimc|mulpd xmm0, xmm1
-    aeskeygenassist xmm0, xmm1, 1
+    aeskeygenassist xmm0, xmm1, 1   ; imm8: 0..255
     vextracti128 xmm1, ymm4, 1
     vinserti128 ymm4, xmm1, 1
     v} *)

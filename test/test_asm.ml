@@ -45,7 +45,15 @@ let test_parse_errors_carry_line_numbers () =
   check_fails "mov rax\n" 1;
   check_fails "mov rax, [rqq+8]\n" 1;
   check_fails "main:\n  nop\n  jne nowhere\n  hlt\n" 3;
-  check_fails "a:\n  nop\n\na:\n  hlt\n" 4
+  check_fails "a:\n  nop\n\na:\n  hlt\n" 4;
+  (* Operands no x86 encoding has: a SIB scale other than 1/2/4/8, rsp as
+     an index, and an aeskeygenassist immediate outside imm8. *)
+  check_fails "nop\nmov rax, [rbx*3]\n" 2;
+  check_fails "nop\nmov rax, [rbx+rcx*7]\n" 2;
+  check_fails "nop\nnop\nmov rax, [rsp*2]\n" 3;
+  check_fails "mov rax, [rbx+rsp]\n" 1;
+  check_fails "nop\naeskeygenassist xmm0, xmm1, 999\n" 2;
+  check_fails "nop\naeskeygenassist xmm0, xmm1, -1\n" 2
 
 let test_mem_operand_forms () =
   let parse_one s =
@@ -128,7 +136,7 @@ let gen_insn =
   let mem =
     map3
       (fun base index disp ->
-        let index = if index = base then -1 else index in
+        let index = if index = base || index = Reg.rsp then -1 else index in
         Insn.{ base; index; scale = 8; disp })
       gpr (int_range (-1) 15) (int_range (-256) 4096)
   in
@@ -174,6 +182,34 @@ let prop_round_trip =
       | [ Program.I parsed ] -> Insn.to_string_named parsed = Insn.to_string_named insn
       | _ -> false)
 
+(* Mutation fuzz over the committed [data/*.s] listings: whatever a byte
+   edit, truncation or splice turns them into, assembling either succeeds
+   or raises [Parse_error], never another host exception. *)
+let fixtures =
+  lazy
+    (Sys.readdir "data" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".s")
+    |> List.sort compare
+    |> List.map (fun f -> In_channel.with_open_bin (Filename.concat "data" f) In_channel.input_all))
+
+let gen_mutated_listing =
+  QCheck.Gen.(
+    let n = List.length (Lazy.force fixtures) in
+    let* doc = int_bound (n - 1) in
+    let* donor = int_bound (n - 1) in
+    let* ops = list_size (int_range 1 4) (triple (int_bound 2) nat nat) in
+    let doc = List.nth (Lazy.force fixtures) doc and donor = List.nth (Lazy.force fixtures) donor in
+    return (List.fold_left (fun s op -> Test_telemetry.mutate s donor op) doc ops))
+
+let prop_mutation_fuzz =
+  QCheck.Test.make ~name:"asm: mutated listings raise only Parse_error" ~count:2000
+    (QCheck.make ~print:String.escaped gen_mutated_listing)
+    (fun s ->
+      match Asm.parse_program s with
+      | _ -> true
+      | exception Asm.Parse_error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let suite =
   [
     Alcotest.test_case "parse a listing" `Quick test_parse_listing;
@@ -183,4 +219,5 @@ let suite =
     Alcotest.test_case "listing round-trip" `Quick test_round_trip_listing;
     Alcotest.test_case "parsed program executes" `Quick test_parsed_program_executes;
     QCheck_alcotest.to_alcotest prop_round_trip;
+    QCheck_alcotest.to_alcotest prop_mutation_fuzz;
   ]
