@@ -1,5 +1,5 @@
 (* Profile-guided superblock formation and registry. The hot executor
-   lives in Cpu.exec_trace (it needs the uop interpreter); everything
+   lives in Cpu.exec_trace (it needs the uop executor); everything
    that can be decided off the hot path — which chains to stitch and when
    to tear traces down — lives here. *)
 
