@@ -76,11 +76,11 @@ type t = {
           attribution. Install via {!set_site_rows}. *)
   mutable program : Program.t;
   mutable tcache : Ublock.cache;
-      (** Predecoded basic-block translations of [program] (see
-          {!Ublock}): the no-hook fast loop executes these instead of
-          re-decoding [Insn.t]s. Swapped automatically when [program]
-          changes identity; {!flush_translations} invalidates it after
-          in-place mutation of the code array. *)
+      (** [program]'s code array decoded into uops, and its basic-block
+          translations (see {!Ublock}): every execution path runs these
+          uops. Swapped automatically when [program] changes identity;
+          {!flush_translations} re-decodes it after in-place mutation of
+          the code array. *)
   mutable traces : Trace.tier;
       (** Profile-guided superblocks stitched over [tcache] (see
           {!Trace}): once a block's exec counter crosses the tier's hot
@@ -127,9 +127,9 @@ val load_program : t -> Program.t -> unit
 (** Install a program and set [rip] to the ["main"] label (or 0). *)
 
 val flush_translations : t -> unit
-(** Invalidate every cached translation, eagerly: bump the block cache's
-    generation, sever every cached block→block successor link, and tear
-    down all superblocks. After a flush no stale block, chain link,
+(** Invalidate every cached translation, eagerly: re-decode the code
+    array, bump the block cache's generation, sever every cached
+    block→block successor link, and tear down all superblocks. After a flush no stale block, chain link,
     trace, or side-exit stub can execute — not even transiently.
     Required only after mutating the installed program's code array in
     place; installing a different program via {!load_program} or
@@ -216,7 +216,9 @@ val set_pkru : t -> int -> unit
 (** {2 Execution} *)
 
 val step : t -> unit
-(** Execute one instruction (with fault handling and EPT-retry). *)
+(** Execute one instruction (with fault handling and EPT-retry): run the
+    step hooks on the fetched {!Insn.t}, then its decoded uop, exactly as
+    the block tier runs it. *)
 
 val run : ?fuel:int -> t -> status
 (** Execute until [Halt] or [fuel] instructions (default 50 million). *)
